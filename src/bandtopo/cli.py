@@ -39,9 +39,10 @@ from .exceptions import (
 )
 from .invariants import chern_scan
 from .knots import linking_matrix
-from .locus import extract_locus, split_components
+from .locus import MIN_SCAN_RESOLUTION, extract_locus, split_components
 from .model import TWO_PI, builtin, load_model_config
 from .mvcheck import ChargeLedger, LedgerEntry, assemble_ledger, verify_ledger
+from .surfaces import MIN_MESH
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -72,7 +73,7 @@ def _add_common(p):
         help="builtin model parameter (repeatable)",
     )
     p.add_argument("--config", help="model config file (JSON)")
-    p.add_argument("--grid", type=int, default=48, help="scan resolution per axis")
+    p.add_argument("--grid", type=_grid_size, default=48, help="scan resolution per axis")
     p.add_argument("--mesh", default="64x64", metavar="NxM", help="surface mesh size")
     p.add_argument("--tube-radius", type=float, default=None)
     p.add_argument("--out", default=".", help="output directory")
@@ -99,6 +100,16 @@ def _load_model(args):
     if args.model:
         return builtin(args.model, **_parse_params(args.param))
     raise ConfigError("a model is required: pass --model NAME or --config PATH")
+
+
+def _grid_size(text):
+    """``--grid`` type: an integer scan resolution of at least 8."""
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < MIN_SCAN_RESOLUTION:
+        raise argparse.ArgumentTypeError(
+            f"scan resolution must be at least {MIN_SCAN_RESOLUTION}, got {n}"
+        )
+    return n
 
 
 def _slice_values(text):
@@ -141,9 +152,12 @@ def _bind_values(argv):
 def _parse_mesh(spec):
     try:
         nu, nv = spec.lower().split("x")
-        return int(nu), int(nv)
+        nu, nv = int(nu), int(nv)
     except ValueError as exc:
         raise ConfigError(f"--mesh expects NxM, got {spec!r}") from exc
+    if nu < MIN_MESH or nv < MIN_MESH:
+        raise ConfigError(f"--mesh sizes must be at least {MIN_MESH}, got {spec!r}")
+    return nu, nv
 
 
 def _write_json(args, name, payload):
@@ -194,8 +208,8 @@ def cmd_locate(args):
 
 
 def _compute_ledger(args, model):
-    locus = extract_locus(model, resolution=args.grid, threads=args.threads)
     mesh = _parse_mesh(args.mesh)
+    locus = extract_locus(model, resolution=args.grid, threads=args.threads)
     ledger = assemble_ledger(
         model, locus, mesh=mesh, tube_radius=args.tube_radius,
     )

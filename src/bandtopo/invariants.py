@@ -21,7 +21,7 @@ from .exceptions import (
     UnsupportedModelError,
 )
 from .model import TWO_PI, reduce_torus
-from .surfaces import SPHERE, _solid_angle_triangle, slice_torus, validate
+from .surfaces import SPHERE, slice_torus, validate
 
 CHERN_RESIDUAL_TOL = 0.01
 DEGREE_RESIDUAL_TOL = 0.05
@@ -217,10 +217,7 @@ def chern_flux(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_
 
 
 def _total_plaquette_flux(frames, surface):
-    corners = np.array(
-        [surface.plaquette_vertex_ids(iu, iv) for iu, iv in surface.plaquettes()]
-    )
-    f = [frames[corners[:, i]] for i in range(4)]
+    f = list(frames[surface.quad_vertex_ids().T])
     prod = None
     for a, b in zip(f, f[1:] + f[:1]):
         m = _polar_unitary(_overlaps(a, b))
@@ -245,14 +242,7 @@ def degree(fld, surface, residual_tol=DEGREE_RESIDUAL_TOL):
     norms = np.linalg.norm(h, axis=-1)
     if np.min(norms) < 1e-10:
         raise SurfaceError("two-band field vanishes on the surface")
-    unit = h / norms[..., None]
-    total = 0.0
-    for iu, iv in surface.plaquettes():
-        ids = surface.plaquette_vertex_ids(iu, iv)
-        a, b, c, d = (unit[i] for i in ids)
-        total += _solid_angle_triangle(a, b, c)
-        total += _solid_angle_triangle(a, c, d)
-    raw = total / (4.0 * math.pi)
+    raw = surface.spherical_area(h / norms[..., None]) / (4.0 * math.pi)
     value = int(np.rint(raw))
     residual = abs(raw - value)
     if residual >= residual_tol:

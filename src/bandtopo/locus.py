@@ -21,6 +21,7 @@ from .model import TWO_PI, as_k_array, reduce_torus, torus_delta
 POINT_TOL = 1e-8
 VERTEX_TOL = 1e-6
 SCAN_CHUNKS = 16
+MIN_SCAN_RESOLUTION = 8
 
 
 # -- grid geometry -----------------------------------------------------------
@@ -30,8 +31,8 @@ class ScanGrid:
     """Uniform sampling grid over the torus or a continuum box."""
 
     def __init__(self, model, resolution):
-        if resolution < 8:
-            raise ValueError("scan resolution must be at least 8 per axis")
+        if resolution < MIN_SCAN_RESOLUTION:
+            raise ValueError(f"scan resolution must be at least {MIN_SCAN_RESOLUTION}")
         self.resolution = int(resolution)
         self.torus = model.domain.is_torus
         if self.torus:

@@ -10,16 +10,17 @@ mesh closes exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, SurfaceError
-from .model import TWO_PI, as_k_array, reduce_torus, torus_delta
+from .exceptions import SurfaceError
+from .model import TWO_PI, as_k_array, reduce_torus
 
 SPHERE = "sphere"
 TUBE = "tube-torus"
 SLICE = "slice-torus"
+MIN_MESH = 3
 
 
 @dataclass
@@ -75,13 +76,11 @@ class ClosedSurface:
         self._check_quads()
 
     def _check_quads(self):
-        degenerate = 0
-        for iu, iv in self.plaquettes():
-            ids = {self.index_map[c] for c in self.plaquette_corners(iu, iv)}
-            if len(ids) < 3:
-                raise SurfaceError("mesh has a fully collapsed quad")
-            if len(ids) == 3:
-                degenerate += 1
+        ids = np.sort(self.quad_vertex_ids(), axis=1)
+        distinct = 1 + np.count_nonzero(np.diff(ids, axis=1), axis=1)
+        if np.any(distinct < 3):
+            raise SurfaceError("mesh has a fully collapsed quad")
+        degenerate = int(np.count_nonzero(distinct == 3))
         if self.kind == SPHERE:
             expected = 2 * self.n_u
             if degenerate != expected:
@@ -91,23 +90,25 @@ class ClosedSurface:
 
     # -- combinatorics ---------------------------------------------------
 
-    def plaquettes(self):
-        for iu in range(self.n_u):
-            for iv in range(self.n_v):
-                yield iu, iv
+    def quad_vertex_ids(self):
+        """Corner vertex ids of every quad, shape (n_u * n_v, 4).
 
-    def plaquette_corners(self, iu, iv):
-        """Corner grid slots in traversal order for orientation +1."""
-        if self.kind == SLICE:
-            order = [(iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1)]
-        else:
-            order = [(iu, iv), (iu, iv + 1), (iu + 1, iv + 1), (iu + 1, iv)]
-        if self.orientation < 0:
-            order = list(reversed(order))
-        return order
+        Row ``iu * n_v + iv`` holds quad (iu, iv), its corners in traversal
+        order for the current orientation.
+        """
+        m = self.index_map
+        a, c = m[:-1, :-1], m[1:, 1:]
+        du, dv = m[1:, :-1], m[:-1, 1:]
+        cols = (a, du, c, dv) if self.kind == SLICE else (a, dv, c, du)
+        quads = np.stack(cols, axis=-1).reshape(-1, 4)
+        return quads if self.orientation > 0 else quads[:, ::-1]
+
+    def plaquettes(self):
+        """(iu, iv) of each row of ``quad_vertex_ids``, in row order."""
+        return np.ndindex(self.n_u, self.n_v)
 
     def plaquette_vertex_ids(self, iu, iv):
-        return [self.index_map[c] for c in self.plaquette_corners(iu, iv)]
+        return self.quad_vertex_ids()[iu * self.n_v + iv]
 
     def reversed(self):
         import copy
@@ -131,36 +132,25 @@ class ClosedSurface:
             verts.copy(), 1, label or f"{self.surface_id}:meridian(u={iu})"
         )
 
-    def u_cycle(self, iv=0, label=None):
-        if self.kind == SPHERE:
-            raise SurfaceError("sphere u-cycles are not closed at the poles")
-        verts = self.grid[: self.n_u, iv % self.n_v]
-        return LoopPath(verts.copy(), 1, label or f"{self.surface_id}:u-cycle(v={iv})")
-
     def edge_quad_count(self):
         """Multiset check data: each undirected edge with its quad count."""
-        counts = {}
-        for iu, iv in self.plaquettes():
-            ids = self.plaquette_vertex_ids(iu, iv)
-            for a, b in zip(ids, ids[1:] + ids[:1]):
-                if a == b:
-                    continue  # collapsed pole edge of a degenerate quad
-                key = (min(a, b), max(a, b))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+        q = self.quad_vertex_ids()
+        edges = np.stack([q, np.roll(q, -1, axis=1)], axis=-1).reshape(-1, 2)
+        edges = np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1)  # drop pole edges
+        keys, counts = np.unique(edges, axis=0, return_counts=True)
+        return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+    def spherical_area(self, unit):
+        """Total signed spherical area of the image of the mesh under unit
+        vectors ``unit`` (one per point): 4 pi times the map degree."""
+        a, b, c, d = unit[self.quad_vertex_ids().T]
+        return float(np.sum(_solid_angles(a, b, c)) + np.sum(_solid_angles(a, c, d)))
 
     def signed_solid_angle(self, about):
         """Total signed solid angle of the mesh about a point (4 pi for an
         outward sphere)."""
-        about = as_k_array(about)
-        total = 0.0
-        for iu, iv in self.plaquettes():
-            ids = self.plaquette_vertex_ids(iu, iv)
-            vecs = [self.points[i] - about for i in ids]
-            units = [v / np.linalg.norm(v) for v in vecs]
-            total += _solid_angle_triangle(units[0], units[1], units[2])
-            total += _solid_angle_triangle(units[0], units[2], units[3])
-        return total
+        vecs = self.points - as_k_array(about)
+        return self.spherical_area(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
 
     def to_json(self):
         return {
@@ -181,27 +171,35 @@ class ClosedSurface:
         }
 
 
-def _solid_angle_triangle(a, b, c):
-    """Signed spherical area of a unit-vector triangle (van Oosterom-Strackee)."""
-    num = float(np.dot(a, np.cross(b, c)))
-    den = 1.0 + float(np.dot(a, b)) + float(np.dot(b, c)) + float(np.dot(c, a))
-    return 2.0 * math.atan2(num, den)
+def _solid_angles(a, b, c):
+    """Signed spherical areas of unit-vector triangles, stacked along the
+    leading axes (van Oosterom-Strackee)."""
+    num = np.sum(a * np.cross(b, c), axis=-1)
+    den = 1.0 + np.sum(a * b, axis=-1) + np.sum(b * c, axis=-1) + np.sum(c * a, axis=-1)
+    return 2.0 * np.arctan2(num, den)
 
 
-def _unique_grid(grid, identify):
-    """Build points/index_map from a full grid and an identification rule."""
-    n_u1, n_v1 = grid.shape[0], grid.shape[1]
-    index_map = np.zeros((n_u1, n_v1), dtype=int)
-    points = []
-    seen = {}
-    for iu in range(n_u1):
-        for iv in range(n_v1):
-            key = identify(iu, iv)
-            if key not in seen:
-                seen[key] = len(points)
-                points.append(grid[iu, iv])
-            index_map[iu, iv] = seen[key]
-    return np.array(points), index_map
+def _check_mesh(n_u, n_v):
+    if n_u < MIN_MESH or n_v < MIN_MESH:
+        raise SurfaceError(f"mesh must be at least {MIN_MESH}x{MIN_MESH}, got {n_u}x{n_v}")
+
+
+def _unique_grid(grid, poles=False):
+    """Build points/index_map from a full grid.
+
+    The seam row u = n_u is identified with u = 0.  The seam column v = n_v
+    is identified with v = 0, unless ``poles``: then the columns v = 0 and
+    v = n_v each collapse to one vertex.  Points are numbered in row-major
+    order of their first grid slot.
+    """
+    n_u, n_v = grid.shape[0] - 1, grid.shape[1] - 1
+    iu, iv = np.indices(grid.shape[:2])
+    first_u, first_v = iu % n_u, iv % n_v
+    if poles:
+        first_u[:, [0, n_v]], first_v = 0, iv
+    first = np.ravel_multi_index((first_u, first_v), iu.shape)
+    slots, index_map = np.unique(first, return_inverse=True)
+    return grid.reshape(-1, 3)[slots], index_map.reshape(iu.shape)
 
 
 def sphere_around(center, radius, n_u=64, n_v=64, domain=None, surface_id=None):
@@ -210,6 +208,7 @@ def sphere_around(center, radius, n_u=64, n_v=64, domain=None, surface_id=None):
     Pole rows are collapsed to single vertices; pole quads degenerate to
     triangles, which downstream flux sums handle natively.
     """
+    _check_mesh(n_u, n_v)
     center = as_k_array(center)
     if radius <= 0:
         raise SurfaceError("sphere radius must be positive")
@@ -226,14 +225,7 @@ def sphere_around(center, radius, n_u=64, n_v=64, domain=None, surface_id=None):
     grid[..., 1] = center[1] + radius * st[None, :] * np.sin(phi)[:, None]
     grid[..., 2] = center[2] + radius * ct[None, :]
 
-    def identify(iu, iv):
-        if iv == 0:
-            return ("N",)
-        if iv == n_v:
-            return ("S",)
-        return (iu % n_u, iv)
-
-    points, index_map = _unique_grid(grid, identify)
+    points, index_map = _unique_grid(grid, poles=True)
     sid = surface_id or (
         f"sphere(c=({center[0]:.4f},{center[1]:.4f},{center[2]:.4f}),r={radius:g})"
     )
@@ -337,6 +329,7 @@ def tube_around(loop, radius, n_u=64, n_v=64, other_components=(), surface_id=No
     third of the loop's clearance (self-approach, curvature, or distance to
     other components).
     """
+    _check_mesh(n_u, n_v)
     verts = np.asarray(loop.vertices, dtype=float)
     clearance = loop_clearance(loop, other_components)
     if radius <= 0:
@@ -358,10 +351,7 @@ def tube_around(loop, radius, n_u=64, n_v=64, other_components=(), surface_id=No
     grid[:n_u] = ring
     grid[n_u] = ring[0]
 
-    def identify(iu, iv):
-        return (iu % n_u, iv % n_v)
-
-    points, index_map = _unique_grid(grid, identify)
+    points, index_map = _unique_grid(grid)
     sid = surface_id or f"tube(r={radius:g},n={n_u}x{n_v})"
     return ClosedSurface(
         TUBE, grid, index_map, points, sid,
@@ -379,6 +369,9 @@ def slice_torus(axis, value, n_u=64, n_v=64, surface_id=None):
     """
     if axis not in AXES:
         raise SurfaceError(f"slice axis must be one of x, y, z, got {axis!r}")
+    if not math.isfinite(value):
+        raise SurfaceError(f"slice value must be finite, got {value!r}")
+    _check_mesh(n_u, n_v)
     a = AXES[axis]
     u_axis, v_axis = (a + 1) % 3, (a + 2) % 3
     us = -math.pi + TWO_PI * np.arange(n_u + 1) / n_u
@@ -388,10 +381,7 @@ def slice_torus(axis, value, n_u=64, n_v=64, surface_id=None):
     grid[..., u_axis] = us[:, None]
     grid[..., v_axis] = vs[None, :]
 
-    def identify(iu, iv):
-        return (iu % n_u, iv % n_v)
-
-    points, index_map = _unique_grid(grid, identify)
+    points, index_map = _unique_grid(grid)
     sid = surface_id or f"slice({axis}={value:.6g},n={n_u}x{n_v})"
     return ClosedSurface(
         SLICE, grid, index_map, points, sid,
@@ -399,7 +389,7 @@ def slice_torus(axis, value, n_u=64, n_v=64, surface_id=None):
     )
 
 
-def validate(surface, model, threads=1):
+def validate(surface, model):
     """Sample the direct gap on vertices and quad centers; store the minimum.
 
     Returns the minimum gap.  Downstream invariants refuse surfaces whose

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,34 @@ def dense_zero_count(field, resolution):
     from bandtopo.locus import _cluster_cells
 
     return len(_cluster_cells(cells, resolution, True))
+
+
+def reference_quads(surface):
+    """Loop reference for ``ClosedSurface.quad_vertex_ids``: the corner ids of
+    each quad read slot by slot from ``index_map``."""
+    quads = []
+    for iu in range(surface.n_u):
+        for iv in range(surface.n_v):
+            if surface.kind == "slice-torus":
+                order = [(iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1)]
+            else:
+                order = [(iu, iv), (iu, iv + 1), (iu + 1, iv + 1), (iu + 1, iv)]
+            if surface.orientation < 0:
+                order.reverse()
+            quads.append([int(surface.index_map[c]) for c in order])
+    return quads
+
+
+def reference_spherical_area(surface, unit):
+    """Per-triangle loop reference for ``ClosedSurface.spherical_area``."""
+
+    def solid_angle(a, b, c):
+        num = float(np.dot(a, np.cross(b, c)))
+        den = 1.0 + float(np.dot(a, b)) + float(np.dot(b, c)) + float(np.dot(c, a))
+        return 2.0 * math.atan2(num, den)
+
+    total = 0.0
+    for a, b, c, d in reference_quads(surface):
+        total += solid_angle(unit[a], unit[b], unit[c])
+        total += solid_angle(unit[a], unit[c], unit[d])
+    return total

@@ -79,6 +79,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, code", [
         (["--version"], 0),
         (["scan", "--values", "a,b"], 64),
+        (["locate", "--model", "weyl-lattice", "--param", "m=1.7", "--grid", "1"], 64),
+        (["report", "--model", "weyl-lattice", "--param", "m=1.7", "--mesh", "0x0"], 64),
     ])
     def test_module_exit_status(self, tmp_path, argv, code):
         src = os.path.dirname(os.path.dirname(bt.__file__))
@@ -90,6 +92,41 @@ class TestExitCodes:
         )
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
+
+
+class TestSizeValidation:
+    """Mesh and scan-grid sizes are checked before any computation."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--mesh", "0x0"],
+        ["report", "--mesh=-4x8"],
+        ["charges", "--mesh", "2x16"],
+        ["scan", "--mesh", "0x0", "--values", "1"],
+        ["scan", "--mesh", "16x2", "--values", "1"],
+    ])
+    def test_mesh_below_three_exit_64(self, tmp_path, capsys, argv):
+        code = run(argv + ["--model", "weyl-lattice", "--param", "m=2",
+                           "--out", str(tmp_path)])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "--mesh sizes must be at least 3" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("grid", ["1", "7", "-3", "8.5"])
+    def test_grid_below_eight_exit_64(self, tmp_path, capsys, grid):
+        code = run(["locate", "--model", "weyl-lattice", "--param", "m=1.7",
+                    "--grid", grid, "--out", str(tmp_path)])
+        assert code == 64
+        assert "argument --grid" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_smallest_sizes_accepted(self, tmp_path):
+        code = run(["scan", "--model", "weyl-lattice", "--param", "m=2",
+                    "--grid", "8", "--mesh", "3x3", "--values", "2.0",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "scan.csv").read_text().strip().splitlines()
+        assert rows[1] == "2.0,0,0,"
 
 
 class TestVerify:

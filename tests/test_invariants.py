@@ -10,9 +10,9 @@ from bandtopo.exceptions import (
     UnsupportedModelError,
 )
 from bandtopo.invariants import frames_at
-from bandtopo.model import CoefficientSpec, TwoBandField
+from bandtopo.model import CoefficientSpec, TwoBandField, reduce_torus
 
-from conftest import random_two_band
+from conftest import random_two_band, reference_quads, reference_spherical_area
 
 
 def validated_sphere(model, center, radius=0.3, n=32):
@@ -131,6 +131,57 @@ class TestDegree:
             flux = bt.chern_flux(model, s)
             deg = bt.degree(model.two_band_field, s)
             assert flux.value == deg.value
+
+
+def reference_flux(frames, surface):
+    """Per-plaquette loop reference for the total Berry flux of a mesh."""
+    total = 0.0
+    for quad in reference_quads(surface):
+        prod = np.eye(frames.shape[-1])
+        for a, b in zip(quad, quad[1:] + quad[:1]):
+            u, _, vh = np.linalg.svd(np.conj(frames[a]).T @ frames[b])
+            prod = prod @ (u @ vh)
+        total += float(np.angle(np.linalg.det(prod)))
+    return total
+
+
+class TestQuadLoopReference:
+    """``degree`` and ``chern_flux`` equal per-triangle and per-plaquette
+    loops over the same mesh, in both orientations."""
+
+    @pytest.fixture()
+    def surfaces(self, weyl2):
+        # the tube core passes through the Weyl point at (0, 0, pi/2)
+        core = bt.circle_loop([0.5, 0, math.pi / 2], 0.5, [0, 1, 0], 200)
+        out = [
+            bt.sphere_around([0, 0, math.pi / 2], 0.3, 24, 20),
+            bt.tube_around(core, 0.15, 48, 16),
+            bt.slice_torus("z", 0.0, 24, 20),
+        ]
+        for s in out:
+            bt.validate(s, weyl2)
+        return out
+
+    def test_degree_matches_triangle_loop(self, weyl2, surfaces):
+        fld = weyl2.two_band_field
+        for s in surfaces:
+            h = fld(reduce_torus(s.points))
+            unit = h / np.linalg.norm(h, axis=-1, keepdims=True)
+            for t in (s, s.reversed()):
+                raw = reference_spherical_area(t, unit) / (4 * math.pi)
+                deg = bt.degree(fld, t)
+                assert deg.value == int(np.rint(raw)) != 0
+                assert abs(deg.residual - abs(raw - deg.value)) < 1e-12
+
+    def test_chern_flux_matches_plaquette_loop(self, weyl2, surfaces):
+        for s in surfaces:
+            frames = frames_at(weyl2, s.points)
+            for t in (s, s.reversed()):
+                raw = -reference_flux(frames, t) / (2 * math.pi)
+                flux = bt.chern_flux(weyl2, t, frames=frames)
+                assert flux.value == int(np.rint(raw)) == bt.degree(
+                    weyl2.two_band_field, t).value
+                assert abs(flux.residual - abs(raw - flux.value)) < 1e-12
 
 
 class TestBerryPhase:
@@ -277,6 +328,11 @@ class TestChernScan:
     def test_continuum_model_rejected(self, four_band):
         with pytest.raises(UnsupportedModelError):
             bt.chern_scan(four_band, "z", [0.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, weyl2, value):
+        with pytest.raises(SurfaceError, match="finite"):
+            bt.chern_scan(weyl2, "z", [0.0, value], n_u=8, n_v=8)
 
 
 class TestRecords:

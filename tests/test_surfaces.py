@@ -5,7 +5,9 @@ import pytest
 
 import bandtopo as bt
 from bandtopo.exceptions import SurfaceError
-from bandtopo.surfaces import loop_clearance
+from bandtopo.surfaces import SLICE, SPHERE, TUBE, ClosedSurface, loop_clearance
+
+from conftest import reference_quads, reference_spherical_area
 
 
 class TestSphere:
@@ -129,6 +131,118 @@ class TestSliceTorus:
         s = bt.slice_torus("y", 0.3, 16, 16)
         assert len(s.points) == 16 * 16
         assert set(s.edge_quad_count().values()) == {2}
+
+
+def reference_unique_grid(grid, identify):
+    """Slot-by-slot reference: a vertex per identification class, numbered
+    in row-major order of first appearance."""
+    index_map = np.zeros(grid.shape[:2], dtype=int)
+    points, seen = [], {}
+    for iu in range(grid.shape[0]):
+        for iv in range(grid.shape[1]):
+            key = identify(iu, iv)
+            if key not in seen:
+                seen[key] = len(points)
+                points.append(grid[iu, iv])
+            index_map[iu, iv] = seen[key]
+    return np.array(points), index_map
+
+
+def sphere_rule(n_u, n_v):
+    def identify(iu, iv):
+        if iv == 0:
+            return ("N",)
+        if iv == n_v:
+            return ("S",)
+        return (iu % n_u, iv)
+
+    return identify
+
+
+def torus_rule(n_u, n_v):
+    return lambda iu, iv: (iu % n_u, iv % n_v)
+
+
+@pytest.fixture()
+def meshes(nodal_loop2_locus):
+    """One mesh of each kind, with small and unequal sizes."""
+    return [
+        bt.sphere_around([0.1, -0.3, 0.7], 0.4, 7, 5),
+        bt.sphere_around([0.0, 0.0, 0.0], 0.2, 3, 3),
+        bt.tube_around(nodal_loop2_locus.loops[0], 0.15, 9, 6),
+        bt.slice_torus("x", 0.4, 5, 7),
+        bt.slice_torus("z", -1.0, 3, 4),
+    ]
+
+
+class TestQuadIndexArray:
+    def test_points_and_index_map_match_identify_rules(self, meshes):
+        for s in meshes:
+            rule = (sphere_rule if s.kind == SPHERE else torus_rule)(s.n_u, s.n_v)
+            points, index_map = reference_unique_grid(s.grid, rule)
+            assert np.array_equal(s.points, points)
+            assert np.array_equal(s.index_map, index_map)
+            assert s.index_map.dtype == index_map.dtype
+
+    def test_quads_match_slot_rule_both_orientations(self, meshes):
+        for s in meshes:
+            for t in (s, s.reversed()):
+                quads = t.quad_vertex_ids()
+                assert quads.tolist() == reference_quads(t)
+                assert [t.plaquette_vertex_ids(iu, iv).tolist()
+                        for iu, iv in t.plaquettes()] == reference_quads(t)
+        # a reversed twin does not change its original
+        assert meshes[0].quad_vertex_ids().tolist() == reference_quads(meshes[0])
+
+    def test_solid_angle_matches_triangle_loop(self, meshes):
+        about = [0.1, -0.3, 0.7]
+        for s in meshes:
+            for t in (s, s.reversed()):
+                vecs = t.points - np.asarray(about)
+                unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+                expected = reference_spherical_area(t, unit)
+                assert abs(t.signed_solid_angle(about) - expected) < 1e-12
+
+    def test_fully_collapsed_quad_rejected(self):
+        s = bt.slice_torus("z", 0.0, 6, 6)
+        index_map = s.index_map.copy()
+        index_map[1, 0] = index_map[0, 0]
+        index_map[1, 1] = index_map[0, 1]
+        with pytest.raises(SurfaceError, match="fully collapsed"):
+            ClosedSurface(SLICE, s.grid, index_map, s.points, "collapsed")
+
+    def test_sphere_pole_triangle_count_checked(self):
+        s = bt.sphere_around([0, 0, 0], 0.3, 8, 6)
+        # south pole opened into a ring of n_u vertices: only n_u triangles left
+        index_map = s.index_map.copy()
+        index_map[:, -1] = len(s.points) + np.arange(s.n_u + 1) % s.n_u
+        points = np.vstack([s.points, s.grid[:-1, -1]])
+        with pytest.raises(SurfaceError, match="pole triangles"):
+            ClosedSurface(SPHERE, s.grid, index_map, points, "open-pole")
+        t = bt.slice_torus("z", 0.0, 8, 6)
+        with pytest.raises(SurfaceError, match="pole triangles"):
+            ClosedSurface(SPHERE, t.grid, t.index_map, t.points, "no-poles")
+
+    def test_torus_kinds_reject_degenerate_quads(self):
+        s = bt.sphere_around([0, 0, 0], 0.3, 8, 6)
+        with pytest.raises(SurfaceError, match="degenerate quads"):
+            ClosedSurface(TUBE, s.grid, s.index_map, s.points, "tube-with-poles")
+
+
+class TestMeshSizes:
+    @pytest.mark.parametrize("n_u, n_v", [(0, 0), (2, 8), (8, 2), (-4, 8)])
+    def test_below_three_rejected(self, nodal_loop2_locus, n_u, n_v):
+        with pytest.raises(SurfaceError, match="at least 3x3"):
+            bt.sphere_around([0, 0, 0], 0.3, n_u, n_v)
+        with pytest.raises(SurfaceError, match="at least 3x3"):
+            bt.tube_around(nodal_loop2_locus.loops[0], 0.15, n_u, n_v)
+        with pytest.raises(SurfaceError, match="at least 3x3"):
+            bt.slice_torus("z", 0.0, n_u, n_v)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slice_value_rejected(self, value):
+        with pytest.raises(SurfaceError, match="finite"):
+            bt.slice_torus("z", value, 8, 8)
 
 
 class TestLoopPath:
