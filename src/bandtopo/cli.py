@@ -40,7 +40,7 @@ from .exceptions import (
 from .invariants import chern_scan
 from .knots import linking_matrix
 from .locus import MIN_SCAN_RESOLUTION, extract_locus, split_components
-from .model import TWO_PI, builtin, load_model_config
+from .model import TWO_PI, builtin, load_model_config, read_json_file
 from .mvcheck import ChargeLedger, LedgerEntry, assemble_ledger, verify_ledger
 from .surfaces import MIN_MESH
 
@@ -276,30 +276,32 @@ def _export_wilson(args, model, locus):
 
 
 def _ledger_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    ledger = ChargeLedger(
-        model_name=data.get("model", "?"),
-        occupied_count=int(data.get("occupied_count", 1)),
-    )
-    for rec in data["entries"]:
-        ledger.entries.append(
-            LedgerEntry(
-                id=rec["id"],
-                kind=rec["kind"],
-                gap_index=int(rec.get("gap_index", 1)),
-                position=rec.get("position"),
-                chirality=rec.get("chirality"),
-                chirality_residual=rec.get("chirality_residual"),
-                berry_w1=rec.get("berry_w1"),
-                berry_phase=rec.get("berry_phase"),
-                berry_residual=rec.get("berry_residual"),
-                w2=rec.get("w2"),
-                w2_crossings=rec.get("w2_crossings"),
-                surface_id=rec.get("surface_id"),
-                notes=rec.get("notes", ""),
-            )
+    data = read_json_file(path, "ledger file")
+    try:
+        ledger = ChargeLedger(
+            model_name=data.get("model", "?"),
+            occupied_count=int(data.get("occupied_count", 1)),
         )
+        for rec in data["entries"]:
+            ledger.entries.append(
+                LedgerEntry(
+                    id=rec["id"],
+                    kind=rec["kind"],
+                    gap_index=int(rec.get("gap_index", 1)),
+                    position=rec.get("position"),
+                    chirality=rec.get("chirality"),
+                    chirality_residual=rec.get("chirality_residual"),
+                    berry_w1=rec.get("berry_w1"),
+                    berry_phase=rec.get("berry_phase"),
+                    berry_residual=rec.get("berry_residual"),
+                    w2=rec.get("w2"),
+                    w2_crossings=rec.get("w2_crossings"),
+                    surface_id=rec.get("surface_id"),
+                    notes=rec.get("notes", ""),
+                )
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed ledger file {path}: {exc!r}") from exc
     return ledger
 
 
@@ -394,6 +396,25 @@ def _fixture_locus(name, resolution):
     return []
 
 
+def _locus_from_file(path, resolution):
+    """Voxelized loop and point components of a locus.json."""
+    data = read_json_file(path, "locus file")
+    locus = []
+    try:
+        for comp in data["components"]:
+            if comp["type"] == "loop":
+                locus.append(voxelize_polyline(comp["vertices"], resolution))
+            elif comp["type"] == "point":
+                g = [
+                    int(round((p + math.pi) * resolution / TWO_PI)) % resolution
+                    for p in comp["position"]
+                ]
+                locus.append(voxel_point(g))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed locus file {path}: {exc!r}") from exc
+    return locus
+
+
 def cmd_cohomology(args):
     reports = []
     tables = []
@@ -410,21 +431,7 @@ def cmd_cohomology(args):
         )
     else:
         if args.from_locus:
-            with open(args.from_locus, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            locus = []
-            for comp in data["components"]:
-                if comp["type"] == "loop":
-                    locus.append(
-                        voxelize_polyline(comp["vertices"], resolution)
-                    )
-                elif comp["type"] == "point":
-                    pos = comp["position"]
-                    g = [
-                        int(round((p + math.pi) * resolution / TWO_PI)) % resolution
-                        for p in pos
-                    ]
-                    locus.append(voxel_point(g))
+            locus = _locus_from_file(args.from_locus, resolution)
         else:
             locus = _fixture_locus(args.fixture, resolution)
         if not locus:

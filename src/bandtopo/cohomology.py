@@ -10,7 +10,7 @@ checks sit on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -31,7 +31,6 @@ class CellComplex:
     name: str
     n_cells: tuple
     boundaries: dict
-    labels: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for d in (1, 2, 3):
@@ -159,14 +158,10 @@ def torus_complex(resolution):
                     vals += [s, -s]
     d3 = sparse.csc_matrix((vals, (rows, cols)), shape=(3 * nv, nv), dtype=np.int64)
 
-    labels = {
-        0: [(x, y, z) for x in range(n) for y in range(n) for z in range(n)],
-    }
     return CellComplex(
         name=f"T3(n={n})",
         n_cells=(nv, 3 * nv, 3 * nv, nv),
         boundaries={1: d1, 2: d2, 3: d3},
-        labels=labels,
     )
 
 

@@ -58,8 +58,26 @@ def _polar_unitary(m):
     return u @ vh
 
 
-def _overlaps(frames_a, frames_b):
-    return np.conj(np.swapaxes(frames_a, -1, -2)) @ frames_b
+def _links(frames, a, b):
+    """Polar-unitarized overlaps F_a^dagger F_b for index arrays a, b of any
+    shape, in one batched SVD; exactly the identity where a == b."""
+    links = _polar_unitary(np.conj(np.swapaxes(frames[a], -1, -2)) @ frames[b])
+    links[a == b] = np.eye(frames.shape[-1])
+    return links
+
+
+def holonomy(frames, paths):
+    """Ordered product of the links along each path of vertex ids.
+
+    ``paths`` has shape (..., L+1); the result has shape (..., occ, occ) and
+    is the left fold W = U_01 @ U_12 @ ... @ U_{L-1,L}.
+    """
+    paths = np.asarray(paths)
+    links = _links(frames, paths[..., :-1], paths[..., 1:])
+    prod = links[..., 0, :, :]
+    for j in range(1, links.shape[-3]):
+        prod = prod @ links[..., j, :, :]
+    return prod
 
 
 def _require_validated(surface, model, floor):
@@ -217,11 +235,8 @@ def chern_flux(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_
 
 
 def _total_plaquette_flux(frames, surface):
-    f = list(frames[surface.quad_vertex_ids().T])
-    prod = None
-    for a, b in zip(f, f[1:] + f[:1]):
-        m = _polar_unitary(_overlaps(a, b))
-        prod = m if prod is None else prod @ m
+    quads = surface.quad_vertex_ids()
+    prod = holonomy(frames, np.column_stack([quads, quads[:, 0]]))
     angles = np.angle(np.linalg.det(prod))
     return float(np.sum(angles)), float(np.max(np.abs(angles)))
 
@@ -266,6 +281,11 @@ def _loop_frames(model, loop, occupied):
     return frames_at(model, pts, occupied=occupied)
 
 
+def _loop_holonomy(frames):
+    n = frames.shape[0]
+    return holonomy(frames, np.arange(n + 1) % n)
+
+
 def _check_loop_gap(model, loop, min_gap):
     pts = np.asarray(loop.vertices, dtype=float)
     mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
@@ -290,12 +310,8 @@ def berry_phase(model, loop, occupied_count=None, min_gap=0.01, frames=None):
     _check_loop_gap(model, loop, min_gap)
     if frames is None:
         frames = _loop_frames(model, loop, occ)
-    prod = None
     n = frames.shape[0]
-    for j in range(n):
-        m = _polar_unitary(_overlaps(frames[j], frames[(j + 1) % n]))
-        prod = m if prod is None else prod @ m
-    phase = (-np.angle(np.linalg.det(prod))) % TWO_PI
+    phase = (-np.angle(np.linalg.det(_loop_holonomy(frames)))) % TWO_PI
     quantized = None
     residual = None
     if model.reality:
@@ -322,12 +338,7 @@ def w1_along(model, loop, occupied_count=None, min_gap=0.01):
     frames = _loop_frames(model, loop, occ)
     if np.iscomplexobj(frames):
         raise UnsupportedModelError("w1 requires real eigenframes")
-    prod = None
-    n = frames.shape[0]
-    for j in range(n):
-        m = _polar_unitary(_overlaps(frames[j], frames[(j + 1) % n]))
-        prod = m if prod is None else prod @ m
-    det = float(np.linalg.det(prod))
+    det = float(np.linalg.det(_loop_holonomy(frames)))
     return 0 if det > 0 else 1
 
 
@@ -364,18 +375,10 @@ def w2_on(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_TOL,
     return _w2_general(model, surface, frames, keep_spectrum)
 
 
-def _u_cycle_wilson(surface, frames, iv):
-    """Wilson matrix of the u-cycle at row iv, in the frame of slot (0, iv)."""
-    ids = [surface.index_map[iu, iv] for iu in range(surface.n_u + 1)]
-    prod = None
-    for a, b in zip(ids[:-1], ids[1:]):
-        if a == b:
-            continue
-        m = _polar_unitary(_overlaps(frames[a], frames[b]))
-        prod = m if prod is None else prod @ m
-    if prod is None:  # fully degenerate row (sphere pole)
-        prod = np.eye(frames.shape[-1])
-    return prod
+def _u_cycle_wilson(surface, frames, rows):
+    """Wilson matrices of the u-cycles at the given rows iv, each in the
+    frame of slot (0, iv); a sphere pole row gives the identity."""
+    return holonomy(frames, surface.index_map[:, rows].T)
 
 
 def _transport_basepoints(surface, frames, rows):
@@ -385,20 +388,15 @@ def _transport_basepoints(surface, frames, rows):
     G_row = F_row @ c[row], plus the O(occ) mismatch after closing the
     cycle (None for spheres, whose v-line is not a cycle).
     """
-    occ = frames.shape[-1]
-    ids = [surface.index_map[0, iv] for iv in rows]
-    cs = [np.eye(occ)]
-    g_prev = frames[ids[0]]
-    for ivi in range(1, len(rows)):
-        f = frames[ids[ivi]]
-        c = _polar_unitary(_overlaps(f, g_prev))
-        cs.append(c)
-        g_prev = f @ c
-    closure = None
-    if surface.kind != SPHERE:
-        f0 = frames[ids[0]]
-        c_back = _polar_unitary(_overlaps(f0, g_prev))
-        closure = c_back  # transported frame at v=2pi expressed at v=0
+    ids = surface.index_map[0, rows]
+    if surface.kind != SPHERE:  # close the cycle back to the first row
+        ids = np.append(ids, ids[0])
+    # polar(F_j^T F_{j-1} c_{j-1}) = polar(F_j^T F_{j-1}) c_{j-1} for orthogonal c
+    cs = [np.eye(frames.shape[-1])]
+    for link in _links(frames, ids[1:], ids[:-1]):
+        cs.append(link @ cs[-1])
+    # transported frame at v=2pi expressed at v=0
+    closure = cs.pop() if surface.kind != SPHERE else None
     return cs, closure
 
 
@@ -413,12 +411,11 @@ def _wrap(angle):
 def _w2_rank2(model, surface, frames, flat_tol, keep_spectrum):
     n_v = surface.n_v
     is_sphere = surface.kind == SPHERE
-    rows = list(range(n_v + 1))
-    raw = [_u_cycle_wilson(surface, frames, iv) for iv in rows[:-1]]
-    raw.append(raw[0] if not is_sphere else _u_cycle_wilson(surface, frames, n_v))
+    raw = _u_cycle_wilson(surface, frames, np.arange(n_v + is_sphere))
+    if not is_sphere:
+        raw = np.concatenate([raw, raw[:1]])
 
-    dets = [float(np.linalg.det(w)) for w in raw]
-    if any(d < 0 for d in dets):
+    if np.any(np.linalg.det(raw) < 0):
         raise ObstructionError(
             "u-cycle holonomy is orientation-reversing (w1 != 0 on the "
             "u-cycle); w2 alone is not well-defined on this surface"
@@ -477,12 +474,11 @@ def _w2_general(model, surface, frames, keep_spectrum):
     half-gap acceptance threshold; crossings of pi are counted per band.
     """
     n_v = surface.n_v
-    rows = list(range(n_v + 1))
-    phases_rows = []
-    for iv in rows:
-        w = _u_cycle_wilson(surface, frames, iv % max(n_v, 1) if surface.kind != SPHERE else iv)
-        ev = np.linalg.eigvals(w)
-        phases_rows.append(np.sort(np.angle(ev)))
+    rows = np.arange(n_v + 1)
+    if surface.kind != SPHERE:
+        rows %= n_v
+    ev = np.linalg.eigvals(_u_cycle_wilson(surface, frames, rows))
+    phases_rows = np.sort(np.angle(ev), axis=-1)
     count = 0
     for prev, cur in zip(phases_rows[:-1], phases_rows[1:]):
         gaps = np.diff(np.sort(prev))

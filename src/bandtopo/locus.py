@@ -53,21 +53,6 @@ class ScanGrid:
     def cell_center(self, idx):
         return self.origin + self.spacing * (np.asarray(idx, dtype=float) + 0.5)
 
-    def cell_corner_indices(self, idx):
-        i, j, l = idx
-        corners = []
-        for di in (0, 1):
-            for dj in (0, 1):
-                for dl in (0, 1):
-                    corners.append(
-                        (
-                            (i + di) % self.npoints if self.torus else i + di,
-                            (j + dj) % self.npoints if self.torus else j + dj,
-                            (l + dl) % self.npoints if self.torus else l + dl,
-                        )
-                    )
-        return corners
-
     @property
     def n_cells(self):
         return self.resolution
@@ -293,7 +278,6 @@ def _minimize_gap(model, k, gap_index, tol, max_iter):
 def _gap_tangent(model, k, gap_index, fd):
     """Unit tangent of the nodal curve from the null space of Hess(gap^2)."""
     hess = np.empty((3, 3))
-    base = _gap_value(model, k, gap_index) ** 2
     for a in range(3):
         for b in range(a, 3):
             da = np.zeros(3)
@@ -305,7 +289,6 @@ def _gap_tangent(model, k, gap_index, fd):
             qmp = _gap_value(model, k - da + db, gap_index) ** 2
             qmm = _gap_value(model, k - da - db, gap_index) ** 2
             hess[a, b] = hess[b, a] = (qpp - qpm - qmp + qmm) / (4 * fd * fd)
-    _ = base
     w, v = np.linalg.eigh(hess)
     return v[:, 0], w
 

@@ -50,11 +50,6 @@ def torus_delta(a, b):
     return reduce_torus(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
 
-def torus_distance(a, b):
-    """Euclidean distance of shortest torus displacement."""
-    return float(np.linalg.norm(torus_delta(a, b), axis=-1).max() * 0 + np.linalg.norm(torus_delta(a, b)))
-
-
 @dataclass(frozen=True)
 class Domain:
     """Momentum-space domain: the 3-torus or a centered cube.
@@ -272,17 +267,6 @@ class BlochModel:
         frames = vectors[..., :, :occ]
         return energies, frames
 
-    def with_occupied(self, occupied_count):
-        """Copy of the model filled up to a different band index."""
-        return BlochModel(
-            name=self.name,
-            band_count=self.band_count,
-            occupied_count=int(occupied_count),
-            reality=self.reality,
-            domain=self.domain,
-            terms=self.terms,
-        )
-
     # -- two-band structure ----------------------------------------------
 
     @property
@@ -318,21 +302,23 @@ class BlochModel:
 
 
 def _term_words(model):
-    """Express model terms as Pauli words when the size is a power of two."""
+    """Express model terms as Pauli words when the size is a power of two;
+    a scaled word's weight is folded into the coefficient amplitudes."""
     n = model.band_count
     sites = int(round(math.log2(n)))
     if 2**sites != n:
         raise ConfigError("config serialization needs a power-of-two band count")
     words = []
     for coeff, mat in model.terms:
-        word = _match_pauli_word(mat, sites)
-        words.append({"pauli": word, "coeff": coeff.to_dict()})
+        word, weight = _match_pauli_word(mat, sites)
+        scaled = CoefficientSpec([(kind, nvec, amp * weight) for kind, nvec, amp in coeff.entries])
+        words.append({"pauli": word, "coeff": scaled.to_dict()})
     return words
 
 
 def _match_pauli_word(mat, sites):
+    """The Pauli word P and real weight w with mat = w * P."""
     letters = "IXYZ"
-    best = None
     for idx in range(4**sites):
         word = ""
         j = idx
@@ -340,13 +326,9 @@ def _match_pauli_word(mat, sites):
             word = letters[j % 4] + word
             j //= 4
         cand = pauli_word(word)
-        weight = np.trace(mat @ cand.conj().T).real / cand.shape[0]
+        weight = float(np.trace(mat @ cand.conj().T).real / cand.shape[0])
         if abs(weight) > 1e-12 and np.max(np.abs(mat - weight * cand)) < 1e-12:
-            if abs(weight - 1.0) < 1e-12:
-                return word
-            best = word  # scaled word: fold the scale into the coefficient upstream
-    if best is not None:
-        return best
+            return word, weight
     raise ConfigError("term matrix is not proportional to a single Pauli word")
 
 
@@ -539,14 +521,18 @@ def model_from_config(data):
         raise ConfigError(f"malformed model config: {exc}") from exc
 
 
-def load_model_config(path):
-    """Load a model from a JSON config file."""
+def read_json_file(path, what):
+    """Parsed contents of a JSON file; ConfigError if it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read model config {path}: {exc}") from exc
-    return model_from_config(data)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_model_config(path):
+    """Load a model from a JSON config file."""
+    return model_from_config(read_json_file(path, "model config"))
 
 
 def save_model_config(model, path):

@@ -243,12 +243,14 @@ def _component_min_separation(comp, others, torus):
 
 
 def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
-                    tube_radius=None, loop_points=DEFAULT_LOOP_POINTS):
+                    tube_radius=None):
     """Compute every applicable charge for every locus component.
 
     Points get a Berry-flux chirality (cross-checked against the map degree
     for two-band models); Fermi-level loops get the meridian Berry phase,
     w1, and, for real multiband models, the w2 monopole charge on a tube.
+    The loop charges share one tube; the meridian samples its ring at
+    ``DEFAULT_LOOP_POINTS`` angles or more.
     """
     comps = split_components(locus)
     torus = model.domain.is_torus
@@ -286,26 +288,20 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
                 if c.id != comp.id
             ]
             tube = tube_around(
-                comp.item, radius, n_u, max(n_v, loop_points),
-                other_components=others,
+                comp.item, radius, n_u, n_v, other_components=others,
                 surface_id=f"tube({comp.id},r={radius:g})",
             )
             validate(tube, model)
             entry.surface_id = tube.surface_id
-            meridian = tube.meridian(0)
+            meridian = tube.meridian(0, n=max(n_v, DEFAULT_LOOP_POINTS))
             bp = berry_phase(model, meridian)
             entry.berry_phase = bp.phase
             entry.berry_residual = bp.quantization_residual
             if model.reality:
                 entry.berry_w1 = w1_along(model, meridian)
                 if model.band_count > 2 and comp.gap_index == model.occupied_count:
-                    w2tube = tube_around(
-                        comp.item, radius, n_u, n_v, other_components=others,
-                        surface_id=f"tube({comp.id},r={radius:g})",
-                    )
-                    validate(w2tube, model)
                     try:
-                        res = w2_on(model, w2tube)
+                        res = w2_on(model, tube)
                         entry.w2 = res.value
                         entry.w2_crossings = res.crossing_count
                     except ObstructionError as exc:

@@ -71,6 +71,7 @@ class ClosedSurface:
         self.meta = meta or {}
         self.orientation = 1
         self.min_gap_on_surface = None
+        self.tube_frame = None  # (center, normals, binormals, radius) of a tube
         self.n_u = grid.shape[0] - 1
         self.n_v = grid.shape[1] - 1
         self._check_quads()
@@ -123,14 +124,25 @@ class ClosedSurface:
         g = self.grid
         return 0.25 * (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:])
 
-    def meridian(self, iu=0, label=None):
-        """The v-cycle at fixed u (tube/slice only): a closed LoopPath."""
+    def meridian(self, iu=0, n=None):
+        """The v-cycle at fixed u (tube/slice only) as a closed LoopPath.
+
+        A tube from ``tube_around`` samples its ring at any ``n`` angles,
+        other meshes only at their n_v grid angles.
+        """
         if self.kind == SPHERE:
             raise SurfaceError("sphere meshes have no closed meridian cycle")
-        verts = self.grid[iu % self.n_u, : self.n_v]
-        return LoopPath(
-            verts.copy(), 1, label or f"{self.surface_id}:meridian(u={iu})"
-        )
+        iu %= self.n_u
+        n = self.n_v if n is None else int(n)
+        if n == self.n_v:
+            verts = self.grid[iu, :n].copy()
+        elif self.tube_frame is not None:
+            center, normals, binormals, radius = self.tube_frame
+            verts = _rings(center[iu:iu + 1], normals[iu:iu + 1],
+                           binormals[iu:iu + 1], radius, n)[0, :n]
+        else:
+            raise SurfaceError(f"meridians of this mesh have {self.n_v} vertices, got {n}")
+        return LoopPath(verts, 1, f"{self.surface_id}:meridian(u={iu})")
 
     def edge_quad_count(self):
         """Multiset check data: each undirected edge with its quad count."""
@@ -243,18 +255,18 @@ def loop_clearance(loop, others=()):
     clearance = math.inf
     arc = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(arc)])
-    total = cum[-1]
-    for i in range(n):
-        for j in range(i + 2, n):
-            s = min(cum[j] - cum[i], total - (cum[j] - cum[i]))
-            chord = np.linalg.norm(verts[j] - verts[i])
-            if chord < 0.5 * s:
-                clearance = min(clearance, chord)
+    # chords between vertices at least two steps apart that are short
+    # against the arc length between them (the shorter way round)
+    i, j = np.triu_indices(n, 2)
+    along = cum[j] - cum[i]
+    s = np.minimum(along, cum[-1] - along)
+    chord = np.linalg.norm(verts[j] - verts[i], axis=-1)
+    close = chord < 0.5 * s
+    if np.any(close):
+        clearance = float(np.min(chord[close]))
     # curvature radius from vertex triples
-    for i in range(n):
-        a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-        r = _circumradius(a, b, c)
-        clearance = min(clearance, 2.0 * r)
+    radii = _circumradii(np.roll(verts, 1, axis=0), verts, np.roll(verts, -1, axis=0))
+    clearance = min(clearance, 2.0 * float(np.min(radii)))
     for other in others:
         overts = np.asarray(getattr(other, "vertices", other), dtype=float)
         d = np.linalg.norm(verts[:, None, :] - overts[None, :, :], axis=-1).min()
@@ -262,14 +274,13 @@ def loop_clearance(loop, others=()):
     return clearance
 
 
-def _circumradius(a, b, c):
+def _circumradii(a, b, c):
+    """Circumradii of stacked triangles (inf for collinear ones)."""
     ab, ac, bc = b - a, c - a, c - b
-    cross = np.linalg.norm(np.cross(ab, ac))
-    if cross < 1e-14:
-        return math.inf
-    return (
-        np.linalg.norm(ab) * np.linalg.norm(ac) * np.linalg.norm(bc) / (2.0 * cross)
-    )
+    cross = np.linalg.norm(np.cross(ab, ac), axis=-1)
+    prod = np.linalg.norm(ab, axis=-1) * np.linalg.norm(ac, axis=-1) * np.linalg.norm(bc, axis=-1)
+    flat = cross < 1e-14
+    return np.where(flat, math.inf, prod / (2.0 * np.where(flat, 1.0, cross)))
 
 
 def _resample_loop(verts, n):
@@ -341,21 +352,27 @@ def tube_around(loop, radius, n_u=64, n_v=64, other_components=(), surface_id=No
         )
     center = _resample_loop(verts, n_u)
     normals, binormals = _parallel_frames(center)
-    vang = TWO_PI * np.arange(n_v + 1) / n_v
-    grid = np.empty((n_u + 1, n_v + 1, 3))
-    ring = (
-        center[:, None, :]
-        + radius * np.cos(vang)[None, :, None] * normals[:, None, :]
-        + radius * np.sin(vang)[None, :, None] * binormals[:, None, :]
-    )
-    grid[:n_u] = ring
-    grid[n_u] = ring[0]
+    ring = _rings(center, normals, binormals, radius, n_v)
+    grid = np.concatenate([ring, ring[:1]])
 
     points, index_map = _unique_grid(grid)
     sid = surface_id or f"tube(r={radius:g},n={n_u}x{n_v})"
-    return ClosedSurface(
+    tube = ClosedSurface(
         TUBE, grid, index_map, points, sid,
         meta={"radius": float(radius), "loop_length": int(len(verts))},
+    )
+    tube.tube_frame = (center, normals, binormals, radius)
+    return tube
+
+
+def _rings(center, normals, binormals, radius, n):
+    """Circles of the given radius in each normal plane, sampled at the
+    n + 1 angles 2 pi j / n (the last closes the ring): shape (m, n+1, 3)."""
+    vang = TWO_PI * np.arange(n + 1) / n
+    return (
+        center[:, None, :]
+        + radius * np.cos(vang)[None, :, None] * normals[:, None, :]
+        + radius * np.sin(vang)[None, :, None] * binormals[:, None, :]
     )
 
 

@@ -132,3 +132,43 @@ def reference_spherical_area(surface, unit):
         total += solid_angle(unit[a], unit[b], unit[c])
         total += solid_angle(unit[a], unit[c], unit[d])
     return total
+
+
+def reference_holonomy(frames, path):
+    """Per-step loop reference for ``invariants.holonomy`` on one path: the
+    product of the polar parts of the successive overlaps, one SVD each,
+    skipping steps that stay on the same vertex."""
+    prod = np.eye(frames.shape[-1])
+    for a, b in zip(path[:-1], path[1:]):
+        if a != b:
+            u, _, vh = np.linalg.svd(frames[a].conj().T @ frames[b])
+            prod = prod @ (u @ vh)
+    return prod
+
+
+def reference_loop_clearance(loop, others=()):
+    """Pair-by-pair loop reference for ``surfaces.loop_clearance``."""
+    verts = np.asarray(loop.vertices, dtype=float)
+    n = len(verts)
+    clearance = math.inf
+    arc = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(arc)])
+    total = cum[-1]
+    for i in range(n):
+        for j in range(i + 2, n):
+            s = min(cum[j] - cum[i], total - (cum[j] - cum[i]))
+            chord = np.linalg.norm(verts[j] - verts[i])
+            if chord < 0.5 * s:
+                clearance = min(clearance, chord)
+    for i in range(n):
+        a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
+        ab, ac, bc = b - a, c - a, c - b
+        cross = np.linalg.norm(np.cross(ab, ac))
+        if cross >= 1e-14:
+            r = np.linalg.norm(ab) * np.linalg.norm(ac) * np.linalg.norm(bc) / (2.0 * cross)
+            clearance = min(clearance, 2.0 * r)
+    for other in others:
+        overts = np.asarray(getattr(other, "vertices", other), dtype=float)
+        d = np.linalg.norm(verts[:, None, :] - overts[None, :, :], axis=-1).min()
+        clearance = min(clearance, d)
+    return clearance

@@ -81,6 +81,8 @@ class TestExitCodes:
         (["scan", "--values", "a,b"], 64),
         (["locate", "--model", "weyl-lattice", "--param", "m=1.7", "--grid", "1"], 64),
         (["report", "--model", "weyl-lattice", "--param", "m=1.7", "--mesh", "0x0"], 64),
+        (["verify", "--model", "weyl-lattice", "--param", "m=2",
+          "--ledger-file", "missing.json"], 64),
     ])
     def test_module_exit_status(self, tmp_path, argv, code):
         src = os.path.dirname(os.path.dirname(bt.__file__))
@@ -158,6 +160,37 @@ class TestVerify:
         code = run(["verify", "--config", gapped_config, "--grid", "16",
                     "--mesh", "16x16", "--out", str(tmp_path)])
         assert code == 0
+
+
+class TestUnreadableInputs:
+    """Missing or malformed input files are config errors (exit 64)."""
+
+    CASES = {
+        "missing": None,
+        "malformed": "{broken",
+        "no-entries": json.dumps({"model": "x", "occupied_count": 1}),
+        "no-vertices": json.dumps({"components": [{"type": "loop", "id": "L0"}]}),
+    }
+
+    def write(self, tmp_path, case):
+        path = tmp_path / "input.json"
+        if self.CASES[case] is not None:
+            path.write_text(self.CASES[case])
+        return str(path)
+
+    @pytest.mark.parametrize("case", ["missing", "malformed", "no-entries"])
+    def test_ledger_file_exit_64(self, tmp_path, capsys, case):
+        code = run(["verify", "--model", "weyl-lattice", "--param", "m=2",
+                    "--ledger-file", self.write(tmp_path, case), "--out", str(tmp_path)])
+        assert code == 64
+        assert "ledger file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing", "malformed", "no-vertices"])
+    def test_from_locus_exit_64(self, tmp_path, capsys, case):
+        code = run(["cohomology", "--from-locus", self.write(tmp_path, case),
+                    "--resolution", "8", "--out", str(tmp_path)])
+        assert code == 64
+        assert "locus file" in capsys.readouterr().err
 
 
 class TestScanLink:

@@ -9,10 +9,15 @@ from bandtopo.exceptions import (
     SurfaceError,
     UnsupportedModelError,
 )
-from bandtopo.invariants import frames_at
+from bandtopo.invariants import frames_at, holonomy
 from bandtopo.model import CoefficientSpec, TwoBandField, reduce_torus
 
-from conftest import random_two_band, reference_quads, reference_spherical_area
+from conftest import (
+    random_two_band,
+    reference_holonomy,
+    reference_quads,
+    reference_spherical_area,
+)
 
 
 def validated_sphere(model, center, radius=0.3, n=32):
@@ -182,6 +187,86 @@ class TestQuadLoopReference:
                 assert flux.value == int(np.rint(raw)) == bt.degree(
                     weyl2.two_band_field, t).value
                 assert abs(flux.residual - abs(raw - flux.value)) < 1e-12
+
+
+class TestHolonomy:
+    """``holonomy`` equals per-step products of polar overlaps on loops,
+    tube and sphere u-cycles (pole rows included) and closed quads, in both
+    orientations, and every invariant makes one batched SVD per call."""
+
+    @staticmethod
+    def assert_matches_reference(frames, paths):
+        batched = holonomy(frames, paths)
+        for got, path in zip(batched, paths):
+            assert np.max(np.abs(got - reference_holonomy(frames, path))) < 1e-12
+
+    def test_random_unitary_frames_keep_order(self):
+        # generic complex rank-2 frames: the links do not commute, so only the
+        # left-to-right product order matches the reference
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(12, 4, 2)) + 1j * rng.normal(size=(12, 4, 2))
+        frames = np.linalg.qr(m)[0]
+        paths = rng.integers(0, 12, size=(3, 5, 9))
+        paths[0, 0, 3] = paths[0, 0, 2]  # a repeated vertex is a unit step
+        self.assert_matches_reference(frames, paths.reshape(-1, 9))
+        assert holonomy(frames, paths).shape == (3, 5, 2, 2)
+
+    def test_loop_both_orientations(self, nodal_loop2, nodal_loop2_locus):
+        loop = bt.tube_around(nodal_loop2_locus.loops[0], 0.15, 16, 200).meridian(0)
+        frames = frames_at(nodal_loop2, loop.vertices)
+        path = np.arange(201) % 200
+        for p in (path, path[::-1]):
+            assert np.max(np.abs(holonomy(frames, p) - reference_holonomy(frames, p))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["tube", "sphere"])
+    def test_surface_cycles_and_quads(self, four_band, four_band_locus,
+                                      four_band_lattice, kind):
+        if kind == "tube":
+            loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
+            model, surf = four_band, bt.tube_around(loop, 0.25, 24, 16)
+        else:
+            model = four_band_lattice
+            surf = bt.sphere_around([math.pi / 2] * 3, 0.4, 16, 12)
+        frames = frames_at(model, surf.points)
+        cycles = surf.index_map.T  # one u-cycle per row iv, poles included
+        for s in (surf, surf.reversed()):
+            self.assert_matches_reference(frames, cycles if s is surf else cycles[:, ::-1])
+            quads = s.quad_vertex_ids()
+            self.assert_matches_reference(frames, np.column_stack([quads, quads[:, 0]]))
+        if kind == "sphere":  # a pole row stays on one vertex: exactly 1
+            poles = holonomy(frames, cycles[[0, -1]])
+            assert np.array_equal(poles, np.broadcast_to(np.eye(2), poles.shape))
+
+    @pytest.fixture()
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_one_svd_call_per_invariant(self, weyl2, nodal_loop2, nodal_loop2_locus,
+                                        four_band, four_band_locus, svd_calls):
+        sphere = validated_sphere(weyl2, [0, 0, math.pi / 2], 0.3, 24)
+        mer = bt.tube_around(nodal_loop2_locus.loops[0], 0.15, 16, 200).meridian(0)
+        loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
+        tube = bt.tube_around(loop, 0.25, 32, 32)
+        bt.validate(tube, four_band)
+        del svd_calls[:]
+        for call in (
+            lambda: bt.chern_flux(weyl2, sphere),
+            lambda: bt.berry_phase(nodal_loop2, mer),
+            lambda: bt.w1_along(nodal_loop2, mer),
+        ):
+            call()
+            assert len(svd_calls) == 1
+            del svd_calls[:]
+        bt.w2_on(four_band, tube)
+        assert len(svd_calls) <= 3
 
 
 class TestBerryPhase:

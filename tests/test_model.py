@@ -7,11 +7,15 @@ import pytest
 import bandtopo as bt
 from bandtopo.exceptions import ConfigError, DomainError
 from bandtopo.model import (
+    TORUS,
+    BlochModel,
     CoefficientSpec,
     Domain,
     KPoint,
     TwoBandField,
+    model_from_config,
     model_from_field,
+    pauli_word,
     reduce_torus,
 )
 
@@ -217,6 +221,22 @@ class TestConfig:
         assert np.allclose(
             loaded.hamiltonian(k), four_band_lattice.hamiltonian(k), atol=1e-14
         )
+
+    def test_scaled_terms_round_trip(self):
+        # term matrices 2 X and -0.5 ZX: the weights go into the amplitudes
+        terms = (
+            (CoefficientSpec([("cos", (1, 0, 0), 1.0), ("cos", (0, 0, 0), 0.3)]),
+             2.0 * pauli_word("X")),
+            (CoefficientSpec([("sin", (0, 1, 1), 0.7)]), -0.5 * pauli_word("Z")),
+        )
+        model = BlochModel("scaled", 2, 1, True, TORUS, terms)
+        loaded = model_from_config(json.loads(json.dumps(model.to_config())))
+        k = random_k(50)
+        assert np.allclose(loaded.hamiltonian(k), model.hamiltonian(k), atol=1e-14)
+        wide = BlochModel("scaled4", 4, 2, True, TORUS,
+                          ((terms[0][0], 1.5 * pauli_word("ZX")),))
+        assert np.allclose(model_from_config(wide.to_config()).hamiltonian(k),
+                           wide.hamiltonian(k), atol=1e-14)
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.json"

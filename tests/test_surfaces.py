@@ -5,9 +5,9 @@ import pytest
 
 import bandtopo as bt
 from bandtopo.exceptions import SurfaceError
-from bandtopo.surfaces import SLICE, SPHERE, TUBE, ClosedSurface, loop_clearance
+from bandtopo.surfaces import SLICE, SPHERE, TUBE, ClosedSurface, LoopPath, loop_clearance
 
-from conftest import reference_quads, reference_spherical_area
+from conftest import reference_loop_clearance, reference_quads, reference_spherical_area
 
 
 class TestSphere:
@@ -77,6 +77,23 @@ class TestTube:
         ).min(axis=1)
         assert np.max(np.abs(d - 0.15)) < 0.02
 
+    def test_meridian_resampled_equals_fine_tube(self, nodal_loop2_locus):
+        loop = nodal_loop2_locus.loops[0]
+        tube = bt.tube_around(loop, 0.15, 32, 16)
+        for iu in (0, 7):
+            fine = bt.tube_around(loop, 0.15, 32, 400).meridian(iu).vertices
+            assert np.array_equal(tube.meridian(iu, n=400).vertices, fine)
+            assert np.array_equal(tube.meridian(iu, n=16).vertices, tube.meridian(iu).vertices)
+        # the reversed twin shares the frame
+        assert np.array_equal(tube.reversed().meridian(0, n=400).vertices,
+                              tube.meridian(0, n=400).vertices)
+
+    def test_slice_meridian_fixed_size(self):
+        s = bt.slice_torus("z", 0.5, 12, 10)
+        assert len(s.meridian(3)) == len(s.meridian(3, n=10)) == 10
+        with pytest.raises(SurfaceError):
+            s.meridian(0, n=40)
+
     def test_outward_orientation(self, nodal_loop2_locus):
         loop = nodal_loop2_locus.loops[0]
         t = bt.tube_around(loop, 0.15, 24, 24)
@@ -108,6 +125,42 @@ class TestTube:
         assert abs(with_arc - 1.0) < 0.05  # circle radius 1 around the axis
         with pytest.raises(SurfaceError):
             bt.tube_around(loop, 0.4, 16, 16, other_components=[arc.vertices])
+
+
+class TestLoopClearance:
+    """``loop_clearance`` equals the pair-by-pair loop reference."""
+
+    @staticmethod
+    def loops_and_others(nodal_loop2_locus, four_band_locus, four_band_lattice_locus):
+        rng = np.random.default_rng(3)
+        wobbly = bt.circle_loop([0.2, 0.1, 0.0], 0.8, [1, 1, 0], 120)
+        wobbly.vertices += rng.normal(scale=0.02, size=wobbly.vertices.shape)
+        pinched = bt.circle_loop([0, 0, 0], 1.0, [0, 0, 1], 90)
+        pinched.vertices[:45, 1] *= 0.05  # half the loop squashed flat
+        t = 2 * math.pi * np.arange(160) / 160  # passes over itself at 0.1
+        crossing = LoopPath(np.column_stack([np.cos(t), np.sin(2 * t) / 2, 0.05 * np.sin(t)]))
+        yield crossing, ()
+        yield nodal_loop2_locus.loops[0], ()
+        yield wobbly, ()
+        yield pinched, ()
+        yield pinched, [wobbly, np.zeros((1, 3))]
+        for locus in (four_band_locus, four_band_lattice_locus):
+            comps = [*locus.loops, *locus.open_arcs]
+            for c in locus.loops:
+                yield c, [o.vertices for o in comps if o is not c]
+
+    def test_matches_reference(self, nodal_loop2_locus, four_band_locus,
+                               four_band_lattice_locus):
+        seen = 0
+        for loop, others in self.loops_and_others(
+                nodal_loop2_locus, four_band_locus, four_band_lattice_locus):
+            want = reference_loop_clearance(loop, others)
+            assert math.isfinite(want)
+            if seen == 0:  # limited by the self-approach chord
+                assert abs(want - 0.1) < 1e-3
+            assert abs(loop_clearance(loop, others) - want) <= 1e-12 * want
+            seen += 1
+        assert seen >= 10
 
 
 class TestSliceTorus:
