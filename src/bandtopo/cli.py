@@ -218,7 +218,7 @@ def _compute_ledger(args, model):
 
 def cmd_charges(args):
     model = _load_model(args)
-    locus, ledger = _compute_ledger(args, model)
+    _, ledger = _compute_ledger(args, model)
     payload = ledger.to_json()
     path = _write_json(args, "charges.json", payload)
     lines = [f"model: {model.name}"]
@@ -243,34 +243,20 @@ def cmd_charges(args):
     lines.append(f"wrote {path}")
     _emit(args, payload, lines)
     if args.wilson_csv:
-        _export_wilson(args, model, locus)
+        _export_wilson(args, ledger)
     return EXIT_OK
 
 
-def _export_wilson(args, model, locus):
-    from .invariants import w2_on
-    from .surfaces import loop_clearance, tube_around, validate
-    from .mvcheck import DEFAULT_TUBE_RADIUS
-
-    mesh = _parse_mesh(args.mesh)
-    comps = split_components(locus)
-    for comp in comps:
-        if comp.kind != "loop" or comp.gap_index != model.occupied_count:
+def _export_wilson(args, ledger):
+    """Write the Wilson spectrum of every w2 the ledger computed."""
+    for entry in ledger.entries:
+        if entry.w2_result is None:
             continue
-        if not model.reality or model.band_count <= 2:
-            continue
-        radius = args.tube_radius or min(
-            DEFAULT_TUBE_RADIUS, loop_clearance(comp.item) / 3.5
-        )
-        others = [c.item.vertices for c in comps if c.kind != "point" and c.id != comp.id]
-        tube = tube_around(comp.item, radius, mesh[0], mesh[1], other_components=others)
-        validate(tube, model)
-        res = w2_on(model, tube, keep_spectrum=True)
-        path = os.path.join(args.out, f"wilson_{comp.id}.csv")
+        path = os.path.join(args.out, f"wilson_{entry.id}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["v", "wilson_angle"])
-            for row in res.spectrum:
+            for row in entry.w2_result.spectrum:
                 writer.writerow([repr(float(row[0])), repr(float(row[1]))])
         print(f"wrote {path}")
 
@@ -446,41 +432,30 @@ def cmd_cohomology(args):
             dec = complement_complex(
                 resolution, locus, tube_voxels=args.tube_voxels
             )
+            spaces = {
+                "total": dec.total,
+                "complement": dec.complement,
+                "tube": dec.tube,
+                "boundary": dec.boundary,
+            }
+            groups = {
+                key: {coeff: cohomology_groups(cx, coeff) for coeff in ("Q", "Z2")}
+                for key, cx in spaces.items()
+            }
             for coeff in ("Q", "Z2"):
                 reports.append(
                     mv_dimension_check(
-                        dec.total, dec.complement, dec.tube, dec.boundary,
-                        coeff, n_components=dec.n_components,
+                        *spaces.values(), coeff, n_components=dec.n_components,
+                        betti_override={key: g[coeff].ranks for key, g in groups.items()},
                     )
                 )
-            for key, cx in (
-                ("total", dec.total),
-                ("complement", dec.complement),
-                ("tube", dec.tube),
-                ("boundary", dec.boundary),
-            ):
+            for key, cx in spaces.items():
                 tables.append(
-                    {
-                        "space": cx.name,
-                        "groups": {
-                            "Q": cohomology_groups(cx, "Q").to_record(),
-                            "Z2": cohomology_groups(cx, "Z2").to_record(),
-                        },
-                    }
+                    {"space": cx.name,
+                     "groups": {coeff: g.to_record() for coeff, g in groups[key].items()}}
                 )
             if args.integral:
-                snf_res = min(args.snf_resolution, 12)
-                if resolution <= snf_res:
-                    for cx in (dec.total, dec.complement, dec.tube, dec.boundary):
-                        reports.append(uct_check(cx))
-                else:
-                    small = complement_complex(
-                        snf_res,
-                        _fixture_locus(args.fixture, snf_res) or locus,
-                        tube_voxels=min(args.tube_voxels, 1),
-                    )
-                    for cx in (small.total, small.complement, small.tube, small.boundary):
-                        reports.append(uct_check(cx))
+                reports.extend(uct_check(cx) for cx in spaces.values())
     payload = {
         "schema_version": 1,
         "resolution": resolution,
@@ -578,7 +553,6 @@ def build_parser():
     p.add_argument("--resolution", type=int, default=16)
     p.add_argument("--tube-voxels", type=int, default=2)
     p.add_argument("--integral", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--snf-resolution", type=int, default=8)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("report", help="consolidated JSON report")

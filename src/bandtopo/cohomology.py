@@ -2,8 +2,11 @@
 
 T^3 is cellulated by n^3 cubes; nodal loci are voxelized as grid vertices,
 thickened to cube tubes, and the torus is split into tube, complement, and
-shared boundary surface.  Cohomology runs over Q and Z2 by sparse field
-rank, and over Z by Smith normal form of the boundary matrices, which also
+shared boundary surface, all built with array ops.  Each complex is reduced
+first (``CellComplex.reduced``: unit-incidence cell pairs removed by spanning
+forests and exact elimination, which keeps integral homology) to a few
+cells; only then does cohomology run, over Q and Z2 by sparse field rank and
+over Z by Smith normal form of the reduced boundary matrices, which also
 yields torsion.  Dimension-level Mayer-Vietoris and universal-coefficient
 checks sit on top.
 """
@@ -11,12 +14,13 @@ checks sit on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .exceptions import ComplexError
-from .smith import rank_field, smith_normal_form
+from .smith import eliminate_units, rank_field, smith_normal_form
 
 CUBE_FACE_SIGNS = (1, -1, 1)
 
@@ -52,10 +56,138 @@ class CellComplex:
     def euler_characteristic(self):
         return sum((-1) ** d * n for d, n in enumerate(self.n_cells))
 
-    def boundary_rank(self, d, coefficients):
-        if d < 1 or d > 3 or self.n_cells[d] == 0 or self.n_cells[d - 1] == 0:
-            return 0
-        return rank_field(self.boundaries[d], coefficients)
+    @cached_property
+    def reduced(self):
+        """A complex of a few cells with the same integral homology.
+
+        Removing a pair of cells (a, b) with [b : a] = +-1 keeps integral
+        homology (Kaczynski, Mrozek & Slusarek 1998): the cofaces c of a
+        get boundary dc - [c : a][b : a] db.  Array ops remove most pairs
+        at once: a spanning forest of the 1-skeleton pairs every non-root
+        vertex with the tree edge to its parent, and one of the dual graph
+        (cubes plus an outside node, joined by faces with one or two unit
+        cofaces) pairs every tree face with its child cube.  Exact unit-pivot
+        elimination then removes the pairs that are left.  The result is
+        checked like any complex (d o d = 0), and a changed Euler
+        characteristic raises ComplexError.
+        """
+        d1, d2, d3 = (self.boundaries[d].tocsc() for d in (1, 2, 3))
+        n0, n3 = self.n_cells[0], self.n_cells[3]
+
+        # vertex-edge pairs; a vertex is homologous to its root, so each
+        # remaining edge's boundary becomes its per-component sum
+        lines, ends, coef = _unit_lines(d1.T)
+        plain = (ends[:, 1] >= 0) & (coef[:, 0] == -coef[:, 1])
+        labels, _, _, via = _spanning_forest(n0, ends[plain])
+        keep_e = np.setdiff1d(np.arange(d1.shape[1]), lines[plain][via])
+        component_sum = sparse.csr_matrix(
+            (np.ones(n0, dtype=np.int64), (labels, np.arange(n0))),
+            shape=(labels.max(initial=-1) + 1, n0),
+        )
+        d1 = (component_sum @ d1[:, keep_e]).tocsc()
+
+        # face-cube pairs; node 0 is the outside, node c + 1 is cube c.  A
+        # closed component keeps its root cube, whose boundary is d3 s with
+        # s[child] = -[parent : f][child : f] s[parent] along the tree
+        lines, ends, coef = _unit_lines(d3)
+        labels, kids, parents, via = _spanning_forest(n3 + 1, ends + 1)
+        up = np.arange(n3 + 1)
+        up[kids] = parents
+        s = np.ones(n3 + 1, dtype=np.int64)
+        s[kids] = -coef[via, 0] * np.where(ends[via, 1] >= 0, coef[via, 1], 1)
+        while True:  # pointer doubling: s becomes the product up to the root
+            s = s * s[up]
+            if np.array_equal(up, up[up]):
+                break
+            up = up[up]
+        roots = np.unique(labels, return_index=True)[1]
+        closed = np.flatnonzero(roots > 0)
+        root_chain = sparse.csr_matrix(
+            (s[1:], (labels[1:], np.arange(n3))), shape=(len(roots), n3)
+        )[closed]
+        keep_f = np.setdiff1d(np.arange(d3.shape[0]), lines[via])
+        b = {
+            1: d1,
+            2: d2[keep_e][:, keep_f].tocsc(),
+            3: (d3[keep_f] @ root_chain.T).tocsc(),
+        }
+
+        for d in (2, 1, 3):
+            pivots, residual = eliminate_units(b[d])
+            if not pivots:
+                continue
+            gone_r, gone_c = zip(*pivots)
+            keep_r = np.setdiff1d(np.arange(b[d].shape[0]), gone_r)
+            keep_c = np.setdiff1d(np.arange(b[d].shape[1]), gone_c)
+            entries = [(r, c, v) for c, col in residual.items() for r, v in col.items()]
+            r, c, v = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+            b[d] = sparse.csc_matrix(
+                (v, (np.searchsorted(keep_r, r), np.searchsorted(keep_c, c))),
+                shape=(len(keep_r), len(keep_c)),
+            )
+            if d > 1:
+                b[d - 1] = b[d - 1][:, keep_r]
+            if d < 3:
+                b[d + 1] = b[d + 1][keep_c]
+        n_cells = (b[1].shape[0], *(b[d].shape[1] for d in (1, 2, 3)))
+        red = CellComplex(f"{self.name}/reduced", n_cells, b)
+        if red.euler_characteristic() != self.euler_characteristic():
+            raise ComplexError(
+                f"reduction of {self.name} changed the Euler characteristic"
+            )
+        return red
+
+
+def _unit_lines(m):
+    """Rows of ``m`` with one or two nonzero entries, all +-1.
+
+    Returns ``(ids, ends, coef)``: the row indices, and per row the column
+    indices and values of its entries, (k, 2) each, with column -1 and value
+    0 where a row has a single entry.
+    """
+    m = m.tocsr(copy=True)
+    m.eliminate_zeros()
+    count = np.diff(m.indptr)
+    ids = np.flatnonzero((count == 1) | (count == 2))
+    first = m.indptr[ids]
+    two = count[ids] == 2
+    second = np.where(two, first + 1, first)
+    ends = np.stack([m.indices[first], np.where(two, m.indices[second], -1)], axis=1)
+    coef = np.stack([m.data[first], np.where(two, m.data[second], 0)], axis=1)
+    unit = (np.abs(coef[:, 0]) == 1) & (np.abs(coef[:, 1]) <= 1)
+    return ids[unit], ends[unit], coef[unit]
+
+
+def _spanning_forest(n_nodes, ends):
+    """Breadth-first spanning forest of a graph on ``n_nodes`` nodes.
+
+    ``ends`` holds the node pairs of the edges; each component is rooted at
+    its lowest node.  Returns ``(labels, kids, parents, via)``: the
+    component of every node (numbered as the roots are ordered), the
+    non-root nodes with every parent before its children, their parents,
+    and the row of ``ends`` that joins each to its parent.
+    """
+    from scipy.sparse import csgraph
+
+    lo, hi = np.sort(ends, axis=1).T
+    keys, first = np.unique(lo * n_nodes + hi, return_index=True)
+    lo, hi = lo[first], hi[first]
+    adjacency = sparse.coo_matrix((np.ones(len(lo)), (lo, hi)), shape=(n_nodes, n_nodes))
+    n_comp, labels = csgraph.connected_components(adjacency, directed=False)
+    roots = np.unique(labels, return_index=True)[1]
+    # a hub node joined to every root makes the forest one breadth-first tree
+    rows = np.concatenate([lo, np.full(n_comp, n_nodes)])
+    cols = np.concatenate([hi, roots])
+    graph = sparse.coo_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(n_nodes + 1, n_nodes + 1)
+    ).tocsr()
+    order, pred = csgraph.breadth_first_order(
+        graph, n_nodes, directed=False, return_predecessors=True
+    )
+    kids = order[1:][pred[order[1:]] != n_nodes]
+    parents = pred[kids]
+    pair = np.minimum(kids, parents) * n_nodes + np.maximum(kids, parents)
+    return labels, kids, parents, first[np.searchsorted(keys, pair)]
 
 
 @dataclass
@@ -83,151 +215,90 @@ class CohomologyGroups:
 
 
 def cohomology_groups(cx, coefficients="Q"):
-    """Cohomology of a complex over Z (via SNF), Q, or Z2 (via field rank)."""
-    n = cx.n_cells
+    """Cohomology of a complex over Z (via SNF), Q, or Z2 (via field rank),
+    computed on its reduced form."""
+    red = cx.reduced
+    n, b = red.n_cells, red.boundaries
     if coefficients in ("Q", "Z2"):
-        r = [0] + [cx.boundary_rank(d, coefficients) for d in (1, 2, 3)] + [0]
+        r = [0] + [rank_field(b[d], coefficients) for d in (1, 2, 3)] + [0]
         ranks = tuple(n[q] - r[q] - r[q + 1] for q in range(4))
         return CohomologyGroups(coefficients, ranks, ((), (), (), ()))
     if coefficients != "Z":
         raise ValueError(f"unknown coefficient system {coefficients!r}")
-    snfs = {d: smith_normal_form(cx.boundaries[d]) for d in (1, 2, 3)}
+    snfs = {d: smith_normal_form(b[d]) for d in (1, 2, 3)}
     r = [0] + [snfs[d].rank for d in (1, 2, 3)] + [0]
     ranks = tuple(n[q] - r[q] - r[q + 1] for q in range(4))
-    torsion = tuple(
-        () if q == 0 else tuple(snfs[q].torsion) if q <= 3 else () for q in range(4)
-    )
+    torsion = ((),) + tuple(tuple(snfs[q].torsion) for q in (1, 2, 3))
     return CohomologyGroups("Z", ranks, torsion)
 
 
 # -- torus complex ------------------------------------------------------------
 
 
+def _assemble(shape, terms):
+    """Integer CSC matrix from ``(rows, cols, values)`` terms of index arrays
+    and a value or value array; repeated entries add up."""
+    rows, cols, vals = zip(*terms)
+    vals = [np.broadcast_to(v, np.shape(r)) for r, v in zip(rows, vals)]
+    return sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape, dtype=np.int64,
+    )
+
+
 def torus_complex(resolution):
-    """Cubical complex of T^3 at n points per axis: (n^3, 3n^3, 3n^3, n^3)."""
+    """Cubical complex of T^3 at n points per axis: (n^3, 3n^3, 3n^3, n^3).
+
+    Vertex (x, y, z) has index v = (x n + y) n + z; edge, face and cube
+    3v + a, 3v + a and v start at v, the face normal to axis a.
+    """
     n = int(resolution)
     if n < 4:
         raise ComplexError("torus complex needs resolution >= 4")
-
-    def vid(x, y, z):
-        return ((x % n) * n + (y % n)) * n + (z % n)
-
     nv = n**3
-    axes = np.eye(3, dtype=int)
-
-    rows, cols, vals = [], [], []
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                v = vid(x, y, z)
-                for a in range(3):
-                    e = 3 * v + a
-                    head = vid(x + axes[a][0], y + axes[a][1], z + axes[a][2])
-                    rows += [head, v]
-                    cols += [e, e]
-                    vals += [1, -1]
-    d1 = sparse.csc_matrix((vals, (rows, cols)), shape=(nv, 3 * nv), dtype=np.int64)
-
-    rows, cols, vals = [], [], []
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                v = vid(x, y, z)
-                pt = np.array([x, y, z])
-                for a in range(3):
-                    p, q = [ax for ax in range(3) if ax != a]
-                    f = 3 * v + a
-                    vp = vid(*(pt + axes[p]))
-                    vq = vid(*(pt + axes[q]))
-                    rows += [3 * v + p, 3 * vp + q, 3 * vq + p, 3 * v + q]
-                    cols += [f, f, f, f]
-                    vals += [1, 1, -1, -1]
-    d2 = sparse.csc_matrix((vals, (rows, cols)), shape=(3 * nv, 3 * nv), dtype=np.int64)
-
-    rows, cols, vals = [], [], []
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                v = vid(x, y, z)
-                pt = np.array([x, y, z])
-                for a in range(3):
-                    va = vid(*(pt + axes[a]))
-                    s = CUBE_FACE_SIGNS[a]
-                    rows += [3 * va + a, 3 * v + a]
-                    cols += [v, v]
-                    vals += [s, -s]
-    d3 = sparse.csc_matrix((vals, (rows, cols)), shape=(3 * nv, nv), dtype=np.int64)
-
+    grid = np.arange(nv).reshape(n, n, n)
+    v = grid.ravel()
+    step = [np.roll(grid, -1, axis=a).ravel() for a in range(3)]  # v + e_a
+    d1 = _assemble((nv, 3 * nv), [
+        term for a in range(3) for term in ((step[a], 3 * v + a, 1), (v, 3 * v + a, -1))
+    ])
+    d2 = []
+    for a in range(3):
+        p, q = [ax for ax in range(3) if ax != a]
+        f = 3 * v + a
+        d2 += [(3 * v + p, f, 1), (3 * step[p] + q, f, 1),
+               (3 * step[q] + p, f, -1), (3 * v + q, f, -1)]
+    d3 = _assemble((3 * nv, nv), [
+        term for a, s in enumerate(CUBE_FACE_SIGNS)
+        for term in ((3 * step[a] + a, v, s), (3 * v + a, v, -s))
+    ])
     return CellComplex(
         name=f"T3(n={n})",
         n_cells=(nv, 3 * nv, 3 * nv, nv),
-        boundaries={1: d1, 2: d2, 3: d3},
+        boundaries={1: d1, 2: _assemble((3 * nv, 3 * nv), d2), 3: d3},
     )
 
 
 # -- subcomplex extraction ------------------------------------------------------
 
 
-def _closure_of_cubes(parent, cube_ids):
-    d3 = parent.boundaries[3].tocsc()
-    d2 = parent.boundaries[2].tocsc()
-    d1 = parent.boundaries[1].tocsc()
-    faces = set()
-    for c in cube_ids:
-        faces.update(d3.indices[d3.indptr[c] : d3.indptr[c + 1]].tolist())
-    edges = set()
-    for f in faces:
-        edges.update(d2.indices[d2.indptr[f] : d2.indptr[f + 1]].tolist())
-    verts = set()
-    for e in edges:
-        verts.update(d1.indices[d1.indptr[e] : d1.indptr[e + 1]].tolist())
-    return verts, edges, faces
+def _closure(parent, top, ids):
+    """Sorted cell indices, one array per dimension 0..top, of the closure
+    of the ``top``-cells ``ids`` (sorted) in ``parent``."""
+    cells = [np.asarray(ids, dtype=np.int64)]
+    for d in range(top, 0, -1):
+        cells.insert(0, np.unique(parent.boundaries[d].tocsc()[:, cells[0]].indices))
+    return cells
 
 
-def _closure_of_faces(parent, face_ids):
-    d2 = parent.boundaries[2].tocsc()
-    d1 = parent.boundaries[1].tocsc()
-    edges = set()
-    for f in face_ids:
-        edges.update(d2.indices[d2.indptr[f] : d2.indptr[f + 1]].tolist())
-    verts = set()
-    for e in edges:
-        verts.update(d1.indices[d1.indptr[e] : d1.indptr[e + 1]].tolist())
-    return verts, edges
-
-
-def _restrict(mat, rows_keep, cols_keep):
-    if not cols_keep:
-        return sparse.csc_matrix((len(rows_keep), 0), dtype=np.int64)
-    sub = mat[:, sorted(cols_keep)]
-    sub = sub[sorted(rows_keep), :]
-    return sub.tocsc()
-
-
-def subcomplex_from_cubes(parent, cube_ids, name):
-    verts, edges, faces = _closure_of_cubes(parent, cube_ids)
-    cubes = sorted(cube_ids)
+def _subcomplex(parent, cells, name):
+    cells = list(cells) + [np.zeros(0, dtype=np.int64)] * (4 - len(cells))
     return CellComplex(
         name=name,
-        n_cells=(len(verts), len(edges), len(faces), len(cubes)),
+        n_cells=tuple(len(c) for c in cells),
         boundaries={
-            1: _restrict(parent.boundaries[1], verts, edges),
-            2: _restrict(parent.boundaries[2], edges, faces),
-            3: _restrict(parent.boundaries[3], faces, cubes),
-        },
-    )
-
-
-def subcomplex_from_faces(parent, face_ids, name):
-    verts, edges = _closure_of_faces(parent, face_ids)
-    faces = sorted(face_ids)
-    return CellComplex(
-        name=name,
-        n_cells=(len(verts), len(edges), len(faces), 0),
-        boundaries={
-            1: _restrict(parent.boundaries[1], verts, edges),
-            2: _restrict(parent.boundaries[2], edges, faces),
-            3: sparse.csc_matrix((len(faces), 0), dtype=np.int64),
+            d: parent.boundaries[d].tocsc()[:, cells[d]][cells[d - 1], :].tocsc()
+            for d in (1, 2, 3)
         },
     )
 
@@ -239,22 +310,23 @@ def voxel_point(at=(0, 0, 0)):
     return {"type": "point", "vertices": [tuple(int(c) for c in at)]}
 
 
+def _rectangle(u0, u1, v0, v1, place):
+    """Unit-step cycle around [u0, u1] x [v0, v1]; ``place(u, v)`` is the
+    grid vertex at plane coordinates (u, v)."""
+    return (
+        [place(u, v0) for u in range(u0, u1)] + [place(u1, v) for v in range(v0, v1)]
+        + [place(u, v1) for u in range(u1, u0, -1)]
+        + [place(u0, v) for v in range(v1, v0, -1)]
+    )
+
+
 def voxel_rect_loop(n, lo=2, hi=None, plane_z=None):
     """Axis-aligned rectangle loop (unit steps) in a z = const plane."""
     hi = (n - lo - 2) if hi is None else hi
     z = n // 2 if plane_z is None else plane_z
     if not (0 <= lo < hi < n):
         raise ComplexError("rectangle corners out of range")
-    path = []
-    for x in range(lo, hi):
-        path.append((x, lo, z))
-    for y in range(lo, hi):
-        path.append((hi, y, z))
-    for x in range(hi, lo, -1):
-        path.append((x, hi, z))
-    for y in range(hi, lo, -1):
-        path.append((lo, y, z))
-    return {"type": "loop", "vertices": path}
+    return {"type": "loop", "vertices": _rectangle(lo, hi, lo, hi, lambda x, y: (x, y, z))}
 
 
 def voxel_hopf_link(n):
@@ -263,19 +335,8 @@ def voxel_hopf_link(n):
     if n < 16:
         raise ComplexError("hopf link fixture needs resolution >= 16")
     a = voxel_rect_loop(n, lo=2, hi=10, plane_z=8)
-    mid = 6
-    x0, x1 = 6, 14
-    z0, z1 = 2, 14
-    b_path = []
-    for x in range(x0, x1):
-        b_path.append((x, mid, z0))
-    for z in range(z0, z1):
-        b_path.append((x1, mid, z))
-    for x in range(x1, x0, -1):
-        b_path.append((x, mid, z1))
-    for z in range(z1, z0, -1):
-        b_path.append((x0, mid, z))
-    return [a, {"type": "loop", "vertices": b_path}]
+    b = _rectangle(6, 14, 2, 14, lambda x, z: (x, 6, z))
+    return [a, {"type": "loop", "vertices": b}]
 
 
 def voxelize_polyline(vertices, resolution, torus=True):
@@ -362,82 +423,42 @@ def complement_complex(resolution, locus, tube_voxels=2, total=None):
     _validate_locus(locus, n)
     parent = total if total is not None else torus_complex(n)
 
-    def vid(x, y, z):
-        return ((x % n) * n + (y % n)) * n + (z % n)
-
-    w_verts = set()
+    ball = np.zeros((n, n, n), dtype=bool)
     for comp in locus:
-        for v in comp["vertices"]:
-            w_verts.add(tuple(c % n for c in v))
-    ball = set(w_verts)
-    for _ in range(r):
-        grown = set(ball)
-        for (x, y, z) in ball:
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        grown.add(((x + dx) % n, (y + dy) % n, (z + dz) % n))
-        ball = grown
-
-    tube_cubes = set()
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                corners_in = all(
-                    ((x + dx) % n, (y + dy) % n, (z + dz) % n) in ball
-                    for dx in (0, 1)
-                    for dy in (0, 1)
-                    for dz in (0, 1)
-                )
-                if corners_in:
-                    tube_cubes.add(vid(x, y, z))
-    if not tube_cubes:
+        ball[tuple((np.asarray(comp["vertices"]) % n).T)] = True
+    for axis in range(3):  # Chebyshev ball of radius r, periodic
+        ball = np.logical_or.reduce([np.roll(ball, k, axis) for k in range(-r, r + 1)])
+    tube = ball
+    for axis in range(3):  # cubes with all eight corners in the ball
+        tube = tube & np.roll(tube, -1, axis)
+    if not tube.any():
         raise ComplexError("tube is empty; radius too small for this grid")
-    all_cubes = set(range(n**3))
-    comp_cubes = all_cubes - tube_cubes
-    if not comp_cubes:
+    if tube.all():
         raise ComplexError("tube fills the torus; radius too large")
-
-    axes = np.eye(3, dtype=int)
-    shared_faces = set()
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                v = vid(x, y, z)
-                pt = np.array([x, y, z])
-                for a in range(3):
-                    c_plus = v
-                    c_minus = vid(*(pt - axes[a]))
-                    f = 3 * v + a
-                    if (c_plus in tube_cubes) != (c_minus in tube_cubes):
-                        shared_faces.add(f)
-
-    tube_cells = _closure_of_cubes(parent, tube_cubes)
-    comp_cells = _closure_of_cubes(parent, comp_cubes)
-    bnd_verts, bnd_edges = _closure_of_faces(parent, shared_faces)
-    inter = (
-        tube_cells[0] & comp_cells[0],
-        tube_cells[1] & comp_cells[1],
-        tube_cells[2] & comp_cells[2],
+    # face 3v + a separates cube v from cube v - e_a
+    shared_faces = np.flatnonzero(
+        np.stack([tube != np.roll(tube, 1, a) for a in range(3)], axis=-1)
     )
-    if inter != (bnd_verts, bnd_edges, shared_faces):
+    tube_cells = _closure(parent, 3, np.flatnonzero(tube))
+    comp_cells = _closure(parent, 3, np.flatnonzero(~tube))
+    bnd_cells = _closure(parent, 2, shared_faces)
+    if not all(
+        np.array_equal(np.intersect1d(a, b), c)
+        for a, b, c in zip(tube_cells, comp_cells, bnd_cells)
+    ):
         raise ComplexError(
             "tube radius causes self-touching: the tube/complement interface "
             "is larger than the shared boundary surface"
         )
     # closed-2-manifold check: each boundary edge borders exactly 2 faces
-    d2 = parent.boundaries[2].tocsc()
-    edge_count = {}
-    for f in shared_faces:
-        for e in d2.indices[d2.indptr[f] : d2.indptr[f + 1]]:
-            edge_count[int(e)] = edge_count.get(int(e), 0) + 1
-    if any(c != 2 for c in edge_count.values()):
+    edge_count = np.bincount(parent.boundaries[2].tocsc()[:, shared_faces].indices)
+    if np.any(edge_count[edge_count > 0] != 2):
         raise ComplexError(
             "tube radius causes self-touching: boundary surface is not a "
             "closed 2-manifold"
         )
 
-    tube_cx = subcomplex_from_cubes(parent, tube_cubes, f"tube(n={n},r={r})")
+    tube_cx = _subcomplex(parent, tube_cells, f"tube(n={n},r={r})")
     n_loops = sum(1 for comp in locus if comp["type"] == "loop")
     expected = (len(locus), n_loops, 0, 0)
     got = cohomology_groups(tube_cx, "Z2").ranks
@@ -449,9 +470,9 @@ def complement_complex(resolution, locus, tube_voxels=2, total=None):
 
     return ComplementDecomposition(
         total=parent,
-        complement=subcomplex_from_cubes(parent, comp_cubes, f"T3-minus-tube(n={n})"),
+        complement=_subcomplex(parent, comp_cells, f"T3-minus-tube(n={n})"),
         tube=tube_cx,
-        boundary=subcomplex_from_faces(parent, shared_faces, f"S_W(n={n},r={r})"),
+        boundary=_subcomplex(parent, bnd_cells, f"S_W(n={n},r={r})"),
         n_components=len(locus),
         resolution=n,
         tube_voxels=r,
@@ -462,69 +483,29 @@ def klein_complex(resolution=8):
     """Cubical Klein bottle: the standard 2-torsion fixture.
 
     H^2(K; Z) = Z/2, so the universal-coefficient check must fail here.
+    Vertex (x, y) is x n + y, with edges 2v (along x) and 2v + 1 (along y);
+    crossing the top row glues with the orientation-reversing flip x -> -x.
     """
     n = int(resolution)
     if n < 2:
         raise ComplexError("klein complex needs resolution >= 2")
     nv = n * n
-
-    def vid(x, y):
-        return (x % n) * n + (y % n)
-
-    def target_up(x, y):
-        # crossing the top row glues with the orientation-reversing flip
-        if y + 1 < n:
-            return vid(x, y + 1)
-        return vid((n - x) % n, 0)
-
-    # edges: ex(x,y) horizontal, ey(x,y) vertical
-    def exid(x, y):
-        return 2 * vid(x, y)
-
-    def eyid(x, y):
-        return 2 * vid(x, y) + 1
-
-    rows, cols, vals = [], [], []
-    for x in range(n):
-        for y in range(n):
-            e = exid(x, y)
-            rows += [vid(x + 1, y), vid(x, y)]
-            cols += [e, e]
-            vals += [1, -1]
-            e = eyid(x, y)
-            rows += [target_up(x, y), vid(x, y)]
-            cols += [e, e]
-            vals += [1, -1]
-    d1 = sparse.csc_matrix((vals, (rows, cols)), shape=(nv, 2 * nv), dtype=np.int64)
-
-    rows, cols, vals = [], [], []
-    for x in range(n):
-        for y in range(n):
-            f = vid(x, y)
-            if y + 1 < n:
-                top = (exid(x, y + 1), -1)
-            else:
-                top = (exid((n - x - 1) % n, 0), 1)
-            entries = [
-                (exid(x, y), 1),
-                (eyid((x + 1) % n, y), 1),
-                top,
-                (eyid(x, y), -1),
-            ]
-            agg = {}
-            for e, s in entries:
-                agg[e] = agg.get(e, 0) + s
-            for e, s in agg.items():
-                if s:
-                    rows.append(e)
-                    cols.append(f)
-                    vals.append(s)
-    d2 = sparse.csc_matrix((vals, (rows, cols)), shape=(2 * nv, nv), dtype=np.int64)
-    d3 = sparse.csc_matrix((nv, 0), dtype=np.int64)
+    v = np.arange(nv)
+    x, y = np.divmod(v, n)
+    top = y == n - 1
+    right = ((x + 1) % n) * n + y
+    up = np.where(top, ((n - x) % n) * n, v + 1)
+    d1 = _assemble((nv, 2 * nv), [
+        (right, 2 * v, 1), (v, 2 * v, -1), (up, 2 * v + 1, 1), (v, 2 * v + 1, -1),
+    ])
+    d2 = _assemble((2 * nv, nv), [
+        (2 * v, v, 1), (2 * right + 1, v, 1), (2 * v + 1, v, -1),
+        (np.where(top, 2 * ((n - x - 1) % n) * n, 2 * (v + 1)), v, np.where(top, 1, -1)),
+    ])
     return CellComplex(
         name=f"klein(n={n})",
         n_cells=(nv, 2 * nv, nv, 0),
-        boundaries={1: d1, 2: d2, 3: d3},
+        boundaries={1: d1, 2: d2, 3: sparse.csc_matrix((nv, 0), dtype=np.int64)},
     )
 
 
@@ -555,7 +536,8 @@ def mv_dimension_check(total, complement, tube, boundary, coefficients="Q",
     vanishes; (b) the top boundary-surface cohomology has one generator per
     locus component; (c) the final sum-of-charges map is onto H^3(T^3) with
     kernel of dimension (#components - 1).  ``betti_override`` substitutes
-    precomputed dimension vectors (validation hook).
+    precomputed dimension vectors (groups the caller already has, or a
+    corrupted table to test the check).
     """
     spaces = {
         "total": total,

@@ -474,11 +474,11 @@ def _w2_general(model, surface, frames, keep_spectrum):
     half-gap acceptance threshold; crossings of pi are counted per band.
     """
     n_v = surface.n_v
-    rows = np.arange(n_v + 1)
-    if surface.kind != SPHERE:
-        rows %= n_v
-    ev = np.linalg.eigvals(_u_cycle_wilson(surface, frames, rows))
+    is_sphere = surface.kind == SPHERE
+    ev = np.linalg.eigvals(_u_cycle_wilson(surface, frames, np.arange(n_v + is_sphere)))
     phases_rows = np.sort(np.angle(ev), axis=-1)
+    if not is_sphere:  # close the v-cycle on row 0
+        phases_rows = np.concatenate([phases_rows, phases_rows[:1]])
     count = 0
     for prev, cur in zip(phases_rows[:-1], phases_rows[1:]):
         gaps = np.diff(np.sort(prev))
@@ -492,9 +492,7 @@ def _w2_general(model, surface, frames, keep_spectrum):
     count //= 2  # conjugate pairs cross together
     spectrum = None
     if keep_spectrum:
-        spectrum = np.column_stack(
-            [np.arange(len(phases_rows)), [p[0] for p in phases_rows]]
-        )
+        spectrum = np.column_stack([np.arange(len(phases_rows)), phases_rows[:, 0]])
     return W2Result(
         value=count % 2,
         crossing_count=count,

@@ -37,6 +37,8 @@ class LedgerEntry:
     w2_crossings: int | None = None
     surface_id: str | None = None
     notes: str = ""
+    # the W2Result with its Wilson spectrum, for CSV export; not serialized
+    w2_result: object = field(default=None, repr=False, compare=False)
 
     def to_record(self):
         return {
@@ -301,7 +303,8 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
                 entry.berry_w1 = w1_along(model, meridian)
                 if model.band_count > 2 and comp.gap_index == model.occupied_count:
                     try:
-                        res = w2_on(model, tube)
+                        res = w2_on(model, tube, keep_spectrum=True)
+                        entry.w2_result = res
                         entry.w2 = res.value
                         entry.w2_crossings = res.crossing_count
                     except ObstructionError as exc:

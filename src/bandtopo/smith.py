@@ -1,14 +1,19 @@
 """Exact linear algebra for integer boundary matrices.
 
-Field ranks run as sparse column reductions: GF(2) on Python-int bitmasks,
+Cubical complexes are reduced first (``CellComplex.reduced``): exact
+elimination of +-1 pivots (``eliminate_units``) keeps integral homology and
+leaves a few cells, and only then do ranks and Smith normal forms run.
+Field ranks are sparse column reductions: GF(2) on Python-int bitmasks,
 rationals via modular elimination at two large primes (asserted to agree).
-Integer Smith normal form runs a sparse unit-pivot phase first and finishes
-the (small) residual block with a dense arbitrary-precision algorithm, so
+Integer Smith normal form eliminates the unit pivots first and finishes the
+(small) residual block with a dense arbitrary-precision algorithm, so
 coefficient growth can never overflow.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,27 +133,21 @@ def smith_normal_form(mat, with_transforms=False):
 
     With ``with_transforms`` a dense algorithm runs throughout and the
     unimodular U, V with U A V = diag(factors) are returned (intended for
-    small matrices).  Otherwise a sparse unit-pivot elimination shrinks the
-    problem first and the residual block goes through sympy's
-    arbitrary-precision invariant-factor routine.
+    small matrices).  Otherwise ``eliminate_units`` removes every +-1 pivot
+    first and the residual block goes through sympy's arbitrary-precision
+    invariant-factor routine.
     """
     m = _to_csc(mat)
     if with_transforms:
         dense = [[int(v) for v in row] for row in m.toarray()]
         factors, U, V = _dense_snf(dense, m.shape[0], m.shape[1], True)
         return SmithForm(tuple(factors), m.shape, U, V)
-    units, residual = _sparse_unit_phase(m)
+    pivots, residual = eliminate_units(m)
     factors = []
     if residual:
-        rows = sorted({r for r, _ in residual})
-        cols = sorted({c for _, c in residual})
-        rmap = {r: i for i, r in enumerate(rows)}
-        cmap = {c: i for i, c in enumerate(cols)}
-        dense = [[0] * len(cols) for _ in rows]
-        for (r, c), v in residual.items():
-            dense[rmap[r]][cmap[c]] = v
-        factors = _residual_factors(dense)
-    return SmithForm(tuple([1] * units + list(factors)), m.shape)
+        rows = sorted({r for col in residual.values() for r in col})
+        factors = _residual_factors([[col.get(r, 0) for col in residual.values()] for r in rows])
+    return SmithForm(tuple([1] * len(pivots) + factors), m.shape)
 
 
 def _residual_factors(dense):
@@ -159,67 +158,75 @@ def _residual_factors(dense):
     return [abs(d) for d in factors if d != 0]
 
 
-def _sparse_unit_phase(m):
-    """Eliminate with +-1 pivots; returns (count, residual entries dict)."""
-    rows = {}
+def eliminate_units(mat):
+    """Exact elimination of every +-1 pivot of an integer matrix.
+
+    Pivoting on entry (r, c) subtracts ``mat[r, k] * mat[r, c]`` times
+    column c from every other column k that meets row r (a unit is its own
+    inverse), then drops row r and column c: the Schur complement, which
+    keeps the invariant factors.  Pivots leave a lazy heap in Markowitz
+    order, cost (row length - 1) * (column length - 1), so free pairs
+    (cost 0) go first.  Only entries whose value changed are pushed again;
+    a popped entry whose cost has grown goes back at its new cost.
+
+    Returns ``(pivots, residual)``: the (row, column) pivots in order, and
+    the residual block on the other rows and columns as dict columns
+    ``{col: {row: value}}`` of Python ints, which cannot overflow.
+    """
+    m = _to_csc(mat)
     cols = {}
-    indptr, indices = m.indptr, m.indices
-    data = np.asarray(m.data)
+    rows = defaultdict(set)
+    indices, data = m.indices.tolist(), m.data.tolist()
     for j in range(m.shape[1]):
-        for t in range(indptr[j], indptr[j + 1]):
+        col = {}
+        for t in range(m.indptr[j], m.indptr[j + 1]):
             v = int(data[t])
             if v:
-                r = int(indices[t])
-                rows.setdefault(r, {})[j] = v
-                cols.setdefault(j, set()).add(r)
-    units = 0
-    while True:
-        pivot = _find_unit_pivot(rows, cols)
-        if pivot is None:
-            break
-        pr, pc = pivot
-        pval = rows[pr][pc]
-        prow = rows.pop(pr)
-        for c in prow:
-            cols[c].discard(pr)
-        for r2 in list(cols.get(pc, ())):
-            factor = rows[r2][pc] * pval  # pval in {+1,-1}: its own inverse
-            for c, v in prow.items():
-                nv = rows[r2].get(c, 0) - factor * v
+                col[indices[t]] = v
+                rows[indices[t]].add(j)
+        if col:
+            cols[j] = col
+
+    def cost(r, c):
+        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
+
+    heap = [(cost(r, c), r, c) for c, col in cols.items() for r, v in col.items() if v in (1, -1)]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        popped, r, c = heapq.heappop(heap)
+        pcol = cols.get(c)
+        if pcol is None or pcol.get(r) not in (1, -1):
+            continue
+        now = cost(r, c)
+        if now > popped:
+            heapq.heappush(heap, (now, r, c))
+            continue
+        pivots.append((r, c))
+        del cols[c]
+        p = pcol.pop(r)
+        for r2 in pcol:
+            rows[r2].discard(c)
+        for k in rows.pop(r) - {c}:
+            col = cols[k]
+            f = col.pop(r) * p
+            changed = []
+            for r2, v in pcol.items():
+                nv = col.get(r2, 0) - f * v
                 if nv:
-                    rows[r2][c] = nv
-                    cols.setdefault(c, set()).add(r2)
-                else:
-                    if c in rows[r2]:
-                        del rows[r2][c]
-                        cols[c].discard(r2)
-            if not rows[r2]:
-                del rows[r2]
-        cols.pop(pc, None)
-        units += 1
-    residual = {}
-    for r, row in rows.items():
-        for c, v in row.items():
-            residual[(r, c)] = v
-    return units, residual
-
-
-def _find_unit_pivot(rows, cols):
-    best = None
-    best_cost = None
-    for r in rows:
-        row = rows[r]
-        rl = len(row)
-        for c, v in row.items():
-            if v in (1, -1):
-                cost = (rl - 1) * (len(cols[c]) - 1)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = (r, c), cost
-                    if cost == 0:
-                        return best
-        if best_cost == 0:
-            return best
-    return best
+                    if r2 not in col:
+                        rows[r2].add(k)
+                    col[r2] = nv
+                    if nv in (1, -1):
+                        changed.append(r2)
+                elif r2 in col:
+                    del col[r2]
+                    rows[r2].discard(k)
+            if not col:
+                del cols[k]
+            for r2 in changed:
+                heapq.heappush(heap, (cost(r2, k), r2, k))
+    return pivots, cols
 
 
 def _dense_snf(a, m, n, transforms):

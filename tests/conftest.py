@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import bandtopo as bt
 from bandtopo.model import CoefficientSpec, TwoBandField, model_from_field
@@ -172,3 +174,152 @@ def reference_loop_clearance(loop, others=()):
         d = np.linalg.norm(verts[:, None, :] - overts[None, :, :], axis=-1).min()
         clearance = min(clearance, d)
     return clearance
+
+
+def reference_w2_general(surface, frames):
+    """Crossing count and spectrum of ``invariants._w2_general`` with the
+    u-cycle Wilson loop evaluated at every row, row 0 twice on a tube."""
+    from bandtopo.invariants import _match_bands, _u_cycle_wilson
+
+    rows = np.arange(surface.n_v + 1) % surface.n_v
+    ev = np.linalg.eigvals(_u_cycle_wilson(surface, frames, rows))
+    phases_rows = np.sort(np.angle(ev), axis=-1)
+    count = 0
+    for prev, cur in zip(phases_rows[:-1], phases_rows[1:]):
+        gaps = np.diff(np.sort(prev))
+        half_gap = 0.5 * (np.min(gaps) if len(gaps) and np.min(gaps) > 0 else math.pi)
+        for a, b in _match_bands(prev, cur, half_gap):
+            if (a - math.pi) * (b - math.pi) < 0 or ((a + math.pi) * (b + math.pi) < 0):
+                count += 1
+    spectrum = np.column_stack([np.arange(len(phases_rows)), [p[0] for p in phases_rows]])
+    return count // 2, spectrum
+
+
+def _csc(entries, shape):
+    keys = list(entries)
+    rows, cols = (np.array([k[i] for k in keys], dtype=np.int64) for i in (0, 1))
+    vals = np.array([entries[k] for k in keys], dtype=np.int64)
+    return sparse.csc_matrix((vals, (rows, cols)), shape=shape)
+
+
+def reference_torus_boundaries(n):
+    """Cell-by-cell loop reference for the boundary matrices of
+    ``cohomology.torus_complex``."""
+
+    def vid(x, y, z):
+        return ((x % n) * n + (y % n)) * n + (z % n)
+
+    d = {1: {}, 2: {}, 3: {}}
+
+    def add(k, row, col, val):
+        d[k][row, col] = d[k].get((row, col), 0) + val
+
+    for x, y, z in itertools.product(range(n), repeat=3):
+        v = vid(x, y, z)
+        nb = [vid(x + 1, y, z), vid(x, y + 1, z), vid(x, y, z + 1)]
+        for a in range(3):
+            add(1, nb[a], 3 * v + a, 1)
+            add(1, v, 3 * v + a, -1)
+            p, q = [b for b in range(3) if b != a]
+            for row, val in ((3 * v + p, 1), (3 * nb[p] + q, 1),
+                             (3 * nb[q] + p, -1), (3 * v + q, -1)):
+                add(2, row, 3 * v + a, val)
+            sign = (1, -1, 1)[a]
+            add(3, 3 * nb[a] + a, v, sign)
+            add(3, 3 * v + a, v, -sign)
+    nv = n**3
+    shapes = {1: (nv, 3 * nv), 2: (3 * nv, 3 * nv), 3: (3 * nv, nv)}
+    return {k: _csc(d[k], shapes[k]) for k in d}
+
+
+def reference_decomposition_cells(parent, n, locus, r):
+    """Per-voxel set reference for the cells of ``complement_complex``:
+    sorted cell indices per dimension of the tube, complement and boundary
+    surface, in ``parent`` = T^3 at resolution n."""
+
+    def vid(x, y, z):
+        return ((x % n) * n + (y % n)) * n + (z % n)
+
+    ball = {tuple(c % n for c in v) for comp in locus for v in comp["vertices"]}
+    for _ in range(r):
+        ball = {
+            ((x + dx) % n, (y + dy) % n, (z + dz) % n)
+            for x, y, z in ball
+            for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
+        }
+    voxels = list(itertools.product(range(n), repeat=3))
+    tube = {
+        vid(x, y, z) for x, y, z in voxels
+        if all(((x + dx) % n, (y + dy) % n, (z + dz) % n) in ball
+               for dx, dy, dz in itertools.product((0, 1), repeat=3))
+    }
+    shared = {
+        3 * vid(x, y, z) + a for x, y, z in voxels for a in range(3)
+        if (vid(x, y, z) in tube)
+        != (vid(*[c - (i == a) for i, c in enumerate((x, y, z))]) in tube)
+    }
+
+    def closure(top, ids):
+        cells = [set(ids)]
+        for d in range(top, 0, -1):
+            m = parent.boundaries[d].tocsc()
+            cells.insert(0, {
+                int(i) for c in cells[0] for i in m.indices[m.indptr[c]:m.indptr[c + 1]]
+            })
+        return [sorted(c) for c in cells] + [[]] * (3 - top)
+
+    return {
+        "tube": closure(3, tube),
+        "complement": closure(3, set(range(n**3)) - tube),
+        "boundary": closure(2, shared),
+    }
+
+
+def circle_complex(n):
+    """S^1 as n vertices and n edges, edge k running from vertex k to k + 1."""
+    v = np.arange(n)
+    d1 = sparse.csc_matrix(
+        (np.r_[np.ones(n), -np.ones(n)], (np.r_[(v + 1) % n, v], np.r_[v, v])),
+        shape=(n, n), dtype=np.int64,
+    )
+    empty = sparse.csc_matrix((n, 0), dtype=np.int64)
+    return bt.CellComplex(f"S1(n={n})", (n, n, 0, 0),
+                          {1: d1, 2: empty, 3: sparse.csc_matrix((0, 0), dtype=np.int64)})
+
+
+def product_complex(a, b):
+    """Cellular product a x b of total dimension <= 3, with
+    d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy, built with ``sparse.kron``."""
+
+    def size(i, j):
+        return a.n_cells[i] * b.n_cells[j]
+
+    def block(i2, j2, i, j):
+        if (i2, j2) == (i - 1, j):
+            return sparse.kron(a.boundaries[i], sparse.identity(b.n_cells[j], dtype=np.int64))
+        if (i2, j2) == (i, j - 1):
+            return (-1) ** i * sparse.kron(
+                sparse.identity(a.n_cells[i], dtype=np.int64), b.boundaries[j]
+            )
+        return sparse.csr_matrix((size(i2, j2), size(i, j)), dtype=np.int64)
+
+    def pieces(k):
+        return [(i, k - i) for i in range(k + 1)]
+
+    boundaries = {
+        k: sparse.bmat(
+            [[block(*lo, *hi) for hi in pieces(k)] for lo in pieces(k - 1)],
+            format="csc", dtype=np.int64,
+        )
+        for k in (1, 2, 3)
+    }
+    n_cells = tuple(sum(size(i, j) for i, j in pieces(k)) for k in range(4))
+    return bt.CellComplex(f"{a.name}x{b.name}", n_cells, boundaries)
+
+
+@pytest.fixture(scope="session")
+def klein_s1():
+    """Klein bottle x S^1: non-orientable closed 3-manifold with 2-torsion
+    in H^2 and H^3, the one fixture whose reduced top cube has a non-zero
+    boundary."""
+    return product_complex(bt.klein_complex(4), circle_complex(4))

@@ -255,7 +255,7 @@ class TestCohomologyCmd:
     def test_loop_fixture(self, tmp_path, capsys):
         code = run(
             ["cohomology", "--fixture", "loop", "--resolution", "8",
-             "--tube-voxels", "1", "--snf-resolution", "8", "--out", str(tmp_path)]
+             "--tube-voxels", "1", "--out", str(tmp_path)]
         )
         assert code == 0
         payload = json.loads((tmp_path / "cohomology.json").read_text())
@@ -293,6 +293,76 @@ class TestCohomologyCmd:
              "--out", str(tmp_path)]
         )
         assert code == 0
+
+
+    @staticmethod
+    def uct_spaces(payload):
+        return [v["table"]["space"] for v in payload["verdicts"]
+                if v["name"].startswith("uct_check")]
+
+    def test_integral_checks_actual_spaces(self, tmp_path):
+        code = run(
+            ["cohomology", "--fixture", "link", "--resolution", "16",
+             "--tube-voxels", "1", "--integral", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "cohomology.json").read_text())
+        assert self.uct_spaces(payload) == [
+            "T3(n=16)", "T3-minus-tube(n=16)", "tube(n=16,r=1)", "S_W(n=16,r=1)"
+        ]
+        assert all(v["passed"] for v in payload["verdicts"])
+        # the tables and the UCT verdicts describe the same spaces
+        assert [t["space"] for t in payload["tables"]] == self.uct_spaces(payload)
+
+    def test_integral_from_locus(self, tmp_path):
+        assert run(["locate", "--model", "nodal-loop-real", "--param", "m=2",
+                    "--grid", "32", "--out", str(tmp_path)]) == 0
+        code = run(
+            ["cohomology", "--from-locus", str(tmp_path / "locus.json"),
+             "--resolution", "16", "--tube-voxels", "1", "--integral",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "cohomology.json").read_text())
+        assert self.uct_spaces(payload) == [
+            "T3(n=16)", "T3-minus-tube(n=16)", "tube(n=16,r=1)", "S_W(n=16,r=1)"
+        ]
+        assert all(v["passed"] for v in payload["verdicts"])
+
+    def test_snf_resolution_removed(self, tmp_path, capsys):
+        code = run(["cohomology", "--resolution", "8", "--snf-resolution", "8",
+                    "--out", str(tmp_path)])
+        assert code == 64
+        assert "--snf-resolution" in capsys.readouterr().err
+
+
+class TestWilsonCsv:
+    def test_spectra_come_from_ledger(self, tmp_path, monkeypatch):
+        from bandtopo import invariants, mvcheck
+
+        calls = []
+        w2_on = invariants.w2_on
+
+        def counted(model, surface, **kwargs):
+            res = w2_on(model, surface, **kwargs)
+            calls.append((surface.surface_id, res))
+            return res
+
+        monkeypatch.setattr(invariants, "w2_on", counted)
+        monkeypatch.setattr(mvcheck, "w2_on", counted)
+        code = run(["charges", "--model", "four-band-linked-lattice", "--param", "m=1",
+                    "--grid", "32", "--wilson-csv", "--out", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 8  # one per Fermi loop, none for the CSVs
+        charges = json.loads((tmp_path / "charges.json").read_text())
+        by_surface = {e["surface_id"]: e["id"] for e in charges["entries"]}
+        written = sorted(p.name for p in tmp_path.glob("wilson_*.csv"))
+        assert written == sorted(f"wilson_{by_surface[sid]}.csv" for sid, _ in calls)
+        for sid, res in calls:
+            with open(tmp_path / f"wilson_{by_surface[sid]}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["v", "wilson_angle"]
+            assert rows[1:] == [[repr(float(a)), repr(float(b))] for a, b in res.spectrum]
 
 
 class TestReportDeterminism:

@@ -3,8 +3,11 @@ import pytest
 from scipy import sparse
 
 import bandtopo as bt
+from bandtopo import cohomology
 from bandtopo.exceptions import ComplexError
 from bandtopo.smith import rank_field, rank_gf2, rank_modp, smith_normal_form
+
+from conftest import reference_decomposition_cells, reference_torus_boundaries
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +262,177 @@ class TestUctCheck:
         assert g.torsion[2] == (2,)
         g2 = bt.cohomology_groups(bt.klein_complex(8), "Z2")
         assert g2.ranks == (1, 2, 1, 0)
+
+
+def unreduced_groups(cx):
+    """Reference: Z, Q and Z2 cohomology from ``rank_field`` and
+    ``smith_normal_form`` applied directly to the full boundary matrices."""
+    n = cx.n_cells
+    out = {}
+    for coeff in ("Q", "Z2"):
+        r = [0] + [rank_field(cx.boundaries[d], coeff) for d in (1, 2, 3)] + [0]
+        out[coeff] = tuple(n[q] - r[q] - r[q + 1] for q in range(4))
+    snfs = {d: smith_normal_form(cx.boundaries[d]) for d in (1, 2, 3)}
+    r = [0] + [snfs[d].rank for d in (1, 2, 3)] + [0]
+    out["Z"] = (
+        tuple(n[q] - r[q] - r[q + 1] for q in range(4)),
+        ((),) + tuple(snfs[d].torsion for d in (1, 2, 3)),
+    )
+    return out
+
+
+def reduced_groups(cx):
+    out = {coeff: bt.cohomology_groups(cx, coeff).ranks for coeff in ("Q", "Z2")}
+    z = bt.cohomology_groups(cx, "Z")
+    out["Z"] = (z.ranks, z.torsion)
+    return out
+
+
+def random_cube_complex(seed, n=6):
+    """Closure of a random cube subset of T^3; the fill fraction grows with
+    the seed, from several components to one with cavities."""
+    t3 = bt.torus_complex(n)
+    rng = np.random.default_rng(seed)
+    cubes = np.flatnonzero(rng.random(n**3) < 0.25 + 0.05 * seed)
+    return cohomology._subcomplex(
+        t3, cohomology._closure(t3, 3, cubes), f"random(n={n},seed={seed})"
+    )
+
+
+def decomposition_spaces(dec):
+    return {"total": dec.total, "complement": dec.complement,
+            "tube": dec.tube, "boundary": dec.boundary}
+
+
+class TestReduction:
+    """The reduced complex keeps Z, Q and Z2 cohomology (unreduced oracle)."""
+
+    def check(self, cx, shrinks=True):
+        expected = unreduced_groups(cx)
+        # the Z reference agrees with the independent field ranks by the UCT:
+        # H^q(Z2) = H^q (x) Z2 + Tor(H^{q+1}, Z2)
+        ranks, torsion = expected["Z"]
+        even = [sum(t % 2 == 0 for t in row) for row in torsion] + [0]
+        assert ranks == expected["Q"]
+        assert expected["Z2"] == tuple(ranks[q] + even[q] + even[q + 1] for q in range(4))
+        assert reduced_groups(cx) == expected
+        assert sum(cx.reduced.n_cells) < sum(cx.n_cells) or not shrinks
+        return expected
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_torus(self, n):
+        cx = bt.torus_complex(n)
+        assert self.check(cx)["Z"] == ((1, 3, 3, 1), ((), (), (), ()))
+        assert cx.reduced.n_cells == (1, 3, 3, 1)
+
+    @pytest.mark.parametrize("name", ["point", "loop", "link"])
+    def test_decompositions(self, request, name):
+        dec = request.getfixturevalue(f"{name}_decomposition")
+        for cx in decomposition_spaces(dec).values():
+            self.check(cx)
+
+    def test_klein(self):
+        cx = bt.klein_complex(8)
+        assert self.check(cx) == {
+            "Q": (1, 1, 0, 0), "Z2": (1, 2, 1, 0), "Z": ((1, 1, 0, 0), ((), (), (2,), ())),
+        }
+
+    def test_klein_times_circle(self, klein_s1):
+        assert self.check(klein_s1) == {
+            "Q": (1, 2, 1, 0),
+            "Z2": (1, 3, 3, 1),
+            "Z": ((1, 2, 1, 0), ((), (), (2,), (2,))),
+        }
+        # the kept cube bounds twice a face: the one non-zero root-cube column
+        top = klein_s1.reduced.boundaries[3]
+        assert top.shape[1] == 1 and sorted(abs(top.data[top.data != 0])) == [2]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_cube_subsets(self, seed):
+        self.check(random_cube_complex(seed))
+
+    @pytest.mark.parametrize("n_cells, d1, d2, d3, expected_z", [
+        # edges v + w and v - w: only the second may pair, H^1 has torsion 2
+        ((2, 2, 0, 0), [[1, 1], [1, -1]], None, None, ((0, 0, 0, 0), ((), (2,), (), ()))),
+        # a cube bounding twice a face: no pair, H^3 has torsion 2
+        ((1, 0, 1, 1), None, None, [[2]], ((1, 0, 0, 0), ((), (), (), (2,)))),
+        # a face on one edge with coefficient 3 beside a unit face
+        ((1, 1, 2, 0), [[0]], [[3, 1]], None, ((1, 0, 1, 0), ((), (), (), ()))),
+    ])
+    def test_small_chain_complexes(self, n_cells, d1, d2, d3, expected_z):
+        mats = {
+            d: sparse.csc_matrix(
+                np.zeros((n_cells[d - 1], n_cells[d]), dtype=np.int64) if m is None
+                else np.array(m, dtype=np.int64)
+            )
+            for d, m in ((1, d1), (2, d2), (3, d3))
+        }
+        assert self.check(bt.CellComplex("chain", n_cells, mats), shrinks=False)["Z"] == expected_z
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("space", ["torus", "klein_s1"])
+    def test_reoriented_cells(self, request, space, seed):
+        """Reversing the orientation of random cells, d_k -> D d_k D' with
+        diagonal +-1 matrices, changes no cohomology group."""
+        cx = bt.torus_complex(6) if space == "torus" else request.getfixturevalue(space)
+        rng = np.random.default_rng(seed)
+        flips = [sparse.diags(rng.choice([-1, 1], size=n), dtype=np.int64) for n in cx.n_cells]
+        flipped = bt.CellComplex(
+            f"{cx.name}/flipped", cx.n_cells,
+            {d: (flips[d - 1] @ cx.boundaries[d] @ flips[d]).tocsc() for d in (1, 2, 3)},
+        )
+        assert self.check(flipped) == unreduced_groups(cx)
+
+    def test_reduction_cached(self, t3_8):
+        assert t3_8.reduced is t3_8.reduced
+
+    def test_ranks_run_on_few_columns(self, monkeypatch, link_decomposition):
+        widths = []
+
+        def recording(fn):
+            def wrapper(mat, *args, **kwargs):
+                widths.append(mat.shape[1])
+                return fn(mat, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cohomology, "rank_field", recording(rank_field))
+        monkeypatch.setattr(cohomology, "smith_normal_form", recording(smith_normal_form))
+        dec = link_decomposition
+        for coeff in ("Q", "Z2"):
+            assert bt.mv_dimension_check(
+                *decomposition_spaces(dec).values(), coeff, n_components=2
+            ).passed
+        for cx in decomposition_spaces(dec).values():
+            assert bt.uct_check(cx).passed
+        assert len(widths) == 2 * 4 * 3 + 4 * 6
+        assert max(widths) <= 16
+
+
+class TestArrayBuilders:
+    """The array-op builders match the per-voxel loop references."""
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_torus_boundaries(self, n):
+        cx = bt.torus_complex(n)
+        for d, ref in reference_torus_boundaries(n).items():
+            assert cx.boundaries[d].shape == ref.shape
+            assert (cx.boundaries[d] != ref).nnz == 0
+
+    @pytest.mark.parametrize("name, r", [("point", 1), ("loop", 1), ("point", 2), ("link", 1)])
+    def test_decomposition_cells(self, request, name, r):
+        dec = request.getfixturevalue(f"{name}_decomposition")
+        n = dec.resolution
+        locus = {
+            "point": [bt.voxel_point((4, 4, 4))],
+            "loop": [bt.voxel_rect_loop(8, lo=2, hi=6, plane_z=4)],
+            "link": bt.voxel_hopf_link(16),
+        }[name]
+        if r != dec.tube_voxels:
+            dec = bt.complement_complex(n, locus, tube_voxels=r)
+        ref = reference_decomposition_cells(dec.total, n, locus, r)
+        for key, cells in ref.items():
+            cx = getattr(dec, key)
+            assert cx.n_cells == tuple(len(c) for c in cells)
+            for d in (1, 2, 3):
+                expect = dec.total.boundaries[d][:, cells[d]][cells[d - 1], :]
+                assert (cx.boundaries[d] != expect).nnz == 0

@@ -17,6 +17,7 @@ from conftest import (
     reference_holonomy,
     reference_quads,
     reference_spherical_area,
+    reference_w2_general,
 )
 
 
@@ -386,6 +387,21 @@ class TestW2:
         tube = bt.tube_around(loop, 0.25, 48, 48)
         bt.validate(tube, four_band)
         assert bt.w2_on(four_band, tube.reversed()).value == bt.w2_on(four_band, tube).value
+
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_general_path_matches_reference(self, four_band, four_band_locus, reverse):
+        loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
+        tube = bt.tube_around(loop, 0.25, 32, 32,
+                              other_components=[four_band_locus.open_arcs[0].vertices])
+        bt.validate(tube, four_band)
+        if reverse:
+            tube = tube.reversed()
+        res = bt.w2_on(four_band, tube, occupied_count=3, keep_spectrum=True)
+        count, spectrum = reference_w2_general(tube, frames_at(four_band, tube.points, 3))
+        assert res.crossing_count == count
+        assert res.spectrum.dtype == spectrum.dtype
+        assert res.spectrum.tobytes() == spectrum.tobytes()
 
 
 class TestChernScan:
