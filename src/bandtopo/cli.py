@@ -34,6 +34,7 @@ from .cohomology import (
 )
 from .exceptions import (
     BandTopoError,
+    ComplexError,
     ConfigError,
     LocusAmbiguityError,
 )
@@ -49,21 +50,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_LOCUS_AMBIGUOUS = 2
 EXIT_USAGE = 64
 
-THREADS_ENV = "BANDTOPO_THREADS"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-
-
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _add_common(p):
@@ -77,7 +68,6 @@ def _add_common(p):
     p.add_argument("--mesh", default="64x64", metavar="NxM", help="surface mesh size")
     p.add_argument("--tube-radius", type=float, default=None)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--json", action="store_true", help="print the JSON report")
 
 
@@ -182,7 +172,7 @@ def _emit(args, payload, lines):
 
 def cmd_locate(args):
     model = _load_model(args)
-    locus = extract_locus(model, resolution=args.grid, threads=args.threads)
+    locus = extract_locus(model, resolution=args.grid)
     payload = locus.to_json()
     path = _write_json(args, "locus.json", payload)
     lines = [f"model: {model.name}"]
@@ -209,7 +199,7 @@ def cmd_locate(args):
 
 def _compute_ledger(args, model):
     mesh = _parse_mesh(args.mesh)
-    locus = extract_locus(model, resolution=args.grid, threads=args.threads)
+    locus = extract_locus(model, resolution=args.grid)
     ledger = assemble_ledger(
         model, locus, mesh=mesh, tube_radius=args.tube_radius,
     )
@@ -351,7 +341,7 @@ def cmd_scan(args):
 
 def cmd_link(args):
     model = _load_model(args)
-    locus = extract_locus(model, resolution=args.grid, threads=args.threads)
+    locus = extract_locus(model, resolution=args.grid)
     comps = split_components(locus)
     matrix = linking_matrix(comps, on_torus=model.domain.is_torus)
     payload = {"schema_version": 1, "model": model.name, **matrix}
@@ -376,9 +366,10 @@ def _fixture_locus(name, resolution):
         hi = max(resolution - 4, resolution // 2 + 2)
         return [voxel_rect_loop(resolution, lo=2, hi=hi, plane_z=resolution // 2)]
     if name == "link":
-        return [  # noqa: returned list of two components
-            *voxel_hopf_link(resolution)
-        ]
+        try:
+            return voxel_hopf_link(resolution)
+        except ComplexError as exc:  # the fixture's size floor: bad input
+            raise ConfigError(f"--fixture link: {exc}") from exc
     return []
 
 
@@ -399,6 +390,14 @@ def _locus_from_file(path, resolution):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed locus file {path}: {exc!r}") from exc
     return locus
+
+
+def _tube_voxels(args):
+    """``--tube-voxels``, by default 1 for the link fixture, whose components
+    a radius-2 tube would join, and 2 otherwise."""
+    if args.tube_voxels is not None:
+        return args.tube_voxels
+    return 1 if args.fixture == "link" and not args.from_locus else 2
 
 
 def cmd_cohomology(args):
@@ -429,9 +428,7 @@ def cmd_cohomology(args):
             if args.integral:
                 reports.append(uct_check(cx))
         else:
-            dec = complement_complex(
-                resolution, locus, tube_voxels=args.tube_voxels
-            )
+            dec = complement_complex(resolution, locus, tube_voxels=_tube_voxels(args))
             spaces = {
                 "total": dec.total,
                 "complement": dec.complement,
@@ -551,7 +548,8 @@ def build_parser():
     p.add_argument("--fixture", default="loop", choices=FIXTURES)
     p.add_argument("--from-locus", help="voxelize a locus.json instead")
     p.add_argument("--resolution", type=int, default=16)
-    p.add_argument("--tube-voxels", type=int, default=2)
+    p.add_argument("--tube-voxels", type=int, default=None,
+                   help="tube radius in voxels (default 1 for --fixture link, else 2)")
     p.add_argument("--integral", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_cohomology)
 

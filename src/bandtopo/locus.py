@@ -4,12 +4,18 @@ The pipeline is scan (coarse grid flagging), cluster (torus-aware connected
 components of flagged cells), classify (point-like vs curve-like), then
 refine (Newton / gap minimization) or trace (predictor-corrector marching
 along the zero curve).  Degenerate clusters fail loudly.
+
+The scan takes one spectrum of the grid (in blocks) for all gaps.  Each
+finite-difference stencil (tangent Hessian, corrector, slope probes, Newton
+Jacobian) is one batched evaluation with pointwise arithmetic, so results
+are bitwise those of one eigensolve per point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +26,10 @@ from .model import TWO_PI, as_k_array, reduce_torus, torus_delta
 
 POINT_TOL = 1e-8
 VERTEX_TOL = 1e-6
-SCAN_CHUNKS = 16
 MIN_SCAN_RESOLUTION = 8
+# k-points per eigensolve call of the scan: one call for the whole grid
+# raised peak memory by ~10 MB at grid 32
+SCAN_BLOCK = 2048
 
 
 # -- grid geometry -----------------------------------------------------------
@@ -69,32 +77,8 @@ class ScanResult:
     flagged: dict  # gap_index -> list of (i, j, l) cell index triples
     cell_min_gap: dict  # gap_index -> {cell: min sampled gap}
 
-    def cells(self, gap_index=None):
-        if gap_index is None:
-            out = []
-            for g in sorted(self.flagged):
-                out.extend((g, c) for c in self.flagged[g])
-            return out
-        return [(gap_index, c) for c in self.flagged.get(gap_index, [])]
 
-
-def _gap_on_grid(model, pts, gap_index, threads=1):
-    """Direct gap sampled on a full grid, chunked for thread-level parallelism."""
-    flat = pts.reshape(-1, 3)
-    chunks = np.array_split(np.arange(flat.shape[0]), SCAN_CHUNKS)
-
-    def job(sel):
-        return model.direct_gap(flat[sel], gap_index=gap_index)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, chunks))
-    else:
-        parts = [job(sel) for sel in chunks]
-    return np.concatenate(parts).reshape(pts.shape[:-1])
-
-
-def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None, threads=1):
+def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None):
     """Flag grid cells whose minimal sampled direct gap is below threshold.
 
     ``gap_index=None`` scans every gap between bands 1..occupied_count, so
@@ -106,12 +90,16 @@ def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None, threads=
     """
     grid = ScanGrid(model, resolution)
     pts = grid.points()
+    flat = pts.reshape(-1, 3)
+    spectrum = np.concatenate(
+        [model.spectrum(flat[i : i + SCAN_BLOCK]) for i in range(0, len(flat), SCAN_BLOCK)]
+    ).reshape(pts.shape[:-1] + (-1,))
     gaps = range(1, model.occupied_count + 1) if gap_index is None else [int(gap_index)]
     flagged = {}
     thresholds = {}
     min_gaps = {}
     for g in gaps:
-        gap = _gap_on_grid(model, pts, g, threads=threads)
+        gap = model.gap_of(spectrum, g)
         n = grid.n_cells
         mins = np.full((n, n, n), np.inf)
         maxs = np.full((n, n, n), -np.inf)
@@ -144,38 +132,50 @@ def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None, threads=
 # -- clustering --------------------------------------------------------------
 
 
+_OFFSETS = [o for o in itertools.product((-1, 0, 1), repeat=3) if o != (0, 0, 0)]
+
+
 def _cluster_cells(cells, n, torus):
-    """Connected components of cell index triples under 26-adjacency.
+    """Connected components of cell index triples in [0, n)^3 under 26-adjacency.
 
     Returns clusters as lists of unwrapped integer triples (torus clusters
-    are unwrapped from a seed so their bounding boxes are meaningful).
+    are unwrapped by a depth-first walk from their smallest cell, so their
+    bounding boxes are meaningful), in order of that cell.
     """
-    remaining = set(cells)
+    cells = np.unique(np.asarray(cells, dtype=np.int64).reshape(-1, 3), axis=0)
+    if not len(cells):
+        return []
+    # number of each flagged cell on the grid (-1 elsewhere), padded by one
+    # layer: wrapped on the torus, unflagged around a box
+    index = np.full((n, n, n), -1, dtype=np.int32)
+    index[tuple(cells.T)] = np.arange(len(cells), dtype=np.int32)
+    index = np.pad(index, 1, mode="wrap") if torus else np.pad(index, 1, constant_values=-1)
+    strides = np.array([(n + 2) ** 2, n + 2, 1])
+    table = index.ravel()[((cells + 1) @ strides)[:, None] + np.array(_OFFSETS) @ strides]
+    # flagged neighbours of cell r, in offset order: entries start[r]:start[r + 1]
+    flagged = table >= 0
+    start = np.concatenate([[0], np.cumsum(np.count_nonzero(flagged, axis=1))]).tolist()
+    neighbour = array("i", table[flagged].tobytes())
+    offset = array("b", np.nonzero(flagged)[1].astype(np.int8).tobytes())
+
+    seen = [False] * len(cells)
     clusters = []
-    offsets = [
-        (di, dj, dl)
-        for di in (-1, 0, 1)
-        for dj in (-1, 0, 1)
-        for dl in (-1, 0, 1)
-        if (di, dj, dl) != (0, 0, 0)
-    ]
-    while remaining:
-        seed = min(remaining)
-        remaining.discard(seed)
+    for seed, coords in enumerate(cells.tolist()):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        unwrapped = {seed: tuple(coords)}
         frontier = [seed]
-        unwrapped = {seed: seed}
         while frontier:
             cur = frontier.pop()
             ux, uy, uz = unwrapped[cur]
-            for off in offsets:
-                if torus:
-                    nb = tuple((cur[a] + off[a]) % n for a in range(3))
-                else:
-                    nb = tuple(cur[a] + off[a] for a in range(3))
-                if nb in remaining:
-                    remaining.discard(nb)
-                    unwrapped[nb] = (ux + off[0], uy + off[1], uz + off[2])
-                    frontier.append(nb)
+            lo, hi = start[cur], start[cur + 1]
+            for j, o in zip(neighbour[lo:hi], offset[lo:hi]):
+                if not seen[j]:
+                    seen[j] = True
+                    di, dj, dl = _OFFSETS[o]
+                    unwrapped[j] = (ux + di, uy + dj, uz + dl)
+                    frontier.append(j)
         clusters.append(sorted(unwrapped.values()))
     return clusters
 
@@ -228,15 +228,13 @@ def _canonical_position(model, k):
 
 def _newton_on_field(field, k, htol, max_iter):
     step_fd = 1e-6
+    dk = step_fd * np.eye(3)
     for it in range(1, max_iter + 1):
         h = field(k)
         if np.linalg.norm(h) < htol:
             return k, it - 1
-        jac = np.empty((3, 3))
-        for a in range(3):
-            dk = np.zeros(3)
-            dk[a] = step_fd
-            jac[:, a] = (field(k + dk) - field(k - dk)) / (2 * step_fd)
+        hk = field(np.concatenate([k + dk, k - dk]))
+        jac = ((hk[:3] - hk[3:]) / (2 * step_fd)).T
         try:
             delta = np.linalg.solve(jac, -h)
         except np.linalg.LinAlgError:
@@ -275,22 +273,33 @@ def _minimize_gap(model, k, gap_index, tol, max_iter):
 # -- curve tracing ------------------------------------------------------------
 
 
+def _squared_gaps(model, pts, gap_index):
+    """Squared gaps at a batch of points, squared as Python floats: numpy's
+    ``** 2`` can differ from ``float ** 2`` in the last bit."""
+    return [float(g) ** 2 for g in model.direct_gap(pts, gap_index=gap_index)]
+
+
+_HESS_A, _HESS_B = np.triu_indices(3)
+
+
 def _gap_tangent(model, k, gap_index, fd):
     """Unit tangent of the nodal curve from the null space of Hess(gap^2)."""
+    da = fd * np.eye(3)[_HESS_A]
+    db = fd * np.eye(3)[_HESS_B]
+    stencil = np.stack([k + da + db, k + da - db, k - da + db, k - da - db], axis=1)
+    q = np.array(_squared_gaps(model, stencil.reshape(-1, 3), gap_index)).reshape(-1, 4)
     hess = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            da = np.zeros(3)
-            db = np.zeros(3)
-            da[a] = fd
-            db[b] = fd
-            qpp = _gap_value(model, k + da + db, gap_index) ** 2
-            qpm = _gap_value(model, k + da - db, gap_index) ** 2
-            qmp = _gap_value(model, k - da + db, gap_index) ** 2
-            qmm = _gap_value(model, k - da - db, gap_index) ** 2
-            hess[a, b] = hess[b, a] = (qpp - qpm - qmp + qmm) / (4 * fd * fd)
+    hess[_HESS_A, _HESS_B] = hess[_HESS_B, _HESS_A] = (
+        (q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3]) / (4 * fd * fd)
+    )
     w, v = np.linalg.eigh(hess)
     return v[:, 0], w
+
+
+# (u, v) offsets of the corrector's off-centre stencil, in units of its step
+_PLANE_STENCIL = np.array(
+    [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float
+)
 
 
 def _correct_to_curve(model, k, tangent, gap_index, tol, fd, max_iter=40):
@@ -309,18 +318,11 @@ def _correct_to_curve(model, k, tangent, gap_index, tol, fd, max_iter=40):
             h = float(np.clip(gap, 1e-7, fd))
             grad = np.empty(2)
             hess = np.empty((2, 2))
-
-            def q(u, v_):
-                return (
-                    _gap_value(model, k + u * basis[0] + v_ * basis[1], gap_index)
-                    ** 2
-                )
-
-            q0 = q(0, 0)
-            qp0, qm0 = q(h, 0), q(-h, 0)
-            q0p, q0m = q(0, h), q(0, -h)
-            qpp, qpm = q(h, h), q(h, -h)
-            qmp, qmm = q(-h, h), q(-h, -h)
+            uv = h * _PLANE_STENCIL
+            q0 = gap**2
+            qp0, qm0, q0p, q0m, qpp, qpm, qmp, qmm = _squared_gaps(
+                model, k + uv[:, :1] * basis[0] + uv[:, 1:] * basis[1], gap_index
+            )
             grad[0] = (qp0 - qm0) / (2 * h)
             grad[1] = (q0p - q0m) / (2 * h)
             hess[0, 0] = (qp0 - 2 * q0 + qm0) / (h * h)
@@ -508,9 +510,6 @@ class NodalLocus:
     def is_empty(self):
         return not (self.points or self.loops or self.open_arcs)
 
-    def components(self):
-        return split_components(self)
-
     def to_json(self):
         return {
             "schema_version": 1,
@@ -584,11 +583,8 @@ def _canonicalize_loop(vertices, torus):
     return verts
 
 
-SPURIOUS_GAP_FLOOR = 1e-3
-
-
 def _cluster_seed(model, grid, cluster, gap_index):
-    centers = np.array([grid.cell_center(c) for c in cluster])
+    centers = grid.cell_center(cluster)
     if grid.torus:
         centers = reduce_torus(centers)
     else:
@@ -608,10 +604,7 @@ def _point_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_boun
         )
     slope = math.sqrt(max(eigs[0], 1e-30) / 2.0)
     limit = _coverage_limit(grid, gap_bound, slope)
-    _check_coverage(
-        np.asarray([point.position]), centers, grid, grid.torus, cluster,
-        gap_index, limit,
-    )
+    _check_coverage(np.asarray([point.position]), centers, grid, cluster, gap_index, limit)
     return point
 
 
@@ -631,7 +624,7 @@ def _curve_from_cluster(model, grid, cluster, centers, seed, gap_index,
             "normal direction); locus dimension ambiguous"
         )
     limit = _coverage_limit(grid, gap_bound, slope_min)
-    _check_coverage(verts, centers, grid, grid.torus, cluster, gap_index, limit)
+    _check_coverage(verts, centers, grid, cluster, gap_index, limit)
     max_gap = float(
         np.max(
             model.direct_gap(
@@ -670,7 +663,7 @@ def _transverse_slope(model, verts, gap_index, spacing):
     curve."""
     n = len(verts)
     tangents = np.gradient(np.asarray(verts), axis=0)
-    slopes = []
+    probes = []
     for i in range(0, n, max(1, n // 8)):
         t = tangents[i]
         nrm = np.linalg.norm(t)
@@ -679,16 +672,16 @@ def _transverse_slope(model, verts, gap_index, spacing):
         u, v = _normal_basis(t / nrm)
         for ang in (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi):
             d = math.cos(ang) * u + math.sin(ang) * v
-            probe = verts[i] + spacing * d
-            if model.domain.is_torus:
-                probe = reduce_torus(probe)
-            elif not np.all(model.domain.contains(probe)):
-                continue
-            hi = model.direct_gap(probe, gap_index=gap_index)
-            slopes.append(float(hi) / spacing)
-    if not slopes:
+            probes.append(verts[i] + spacing * d)
+    probes = np.reshape(probes, (-1, 3))
+    if model.domain.is_torus:
+        probes = reduce_torus(probes)
+    else:
+        probes = probes[model.domain.contains(probes)]
+    if not len(probes):
         return 1.0, 1.0
-    return min(slopes), max(slopes)
+    slopes = model.direct_gap(probes, gap_index=gap_index) / spacing
+    return float(slopes.min()), float(slopes.max())
 
 
 def _classify_cluster(model, grid, cluster, gap_index, step_factor, vertex_tol,
@@ -737,27 +730,34 @@ def _cluster_gap_bound(scan, cluster, gap_index):
     return max(vals) if vals else scan.gap_threshold[gap_index]
 
 
-def trace_loops(model, scan, step_factor=0.6, vertex_tol=VERTEX_TOL):
-    """Trace curve-like clusters of a scan into loops and open arcs.
+def _resolve_clusters(model, scan, step_factor, vertex_tol):
+    """Points, loops and arcs of every flagged-cell cluster of a scan, in gap
+    and cluster order; spurious clusters are dropped.
 
-    Point-like and spurious clusters are skipped here; a cluster that is
-    neither point-like nor traceable as a single covered curve raises
-    LocusAmbiguityError naming the cluster.
+    A cluster that is neither point-like nor traceable as a single covered
+    curve raises LocusAmbiguityError naming the cluster.
     """
     grid = scan.grid
-    loops, arcs = [], []
+    items = []
     for g in sorted(scan.flagged):
-        clusters = _cluster_cells(scan.flagged[g], grid.n_cells, grid.torus)
-        for cluster in clusters:
+        for cluster in _cluster_cells(scan.flagged[g], grid.n_cells, grid.torus):
             item = _classify_cluster(
                 model, grid, cluster, g, step_factor, vertex_tol,
                 _cluster_gap_bound(scan, cluster, g),
             )
-            if isinstance(item, NodalLoop):
-                loops.append(item)
-            elif isinstance(item, OpenArc):
-                arcs.append(item)
-    return loops, arcs
+            if item is not None:
+                items.append(item)
+    return items
+
+
+def _of_kind(items, kind):
+    return [item for item in items if isinstance(item, kind)]
+
+
+def trace_loops(model, scan, step_factor=0.6, vertex_tol=VERTEX_TOL):
+    """Loops and open arcs of a scan's curve-like clusters (see _resolve_clusters)."""
+    items = _resolve_clusters(model, scan, step_factor, vertex_tol)
+    return _of_kind(items, NodalLoop), _of_kind(items, OpenArc)
 
 
 def _correct_seed(model, k, gap_index, tol, spacing):
@@ -766,48 +766,37 @@ def _correct_seed(model, k, gap_index, tol, spacing):
     return _correct_to_curve(model, k, tangent, gap_index, tol, fd)
 
 
-def _check_coverage(verts, centers, grid, torus, cluster, gap_index, limit):
+def _check_coverage(verts, centers, grid, cluster, gap_index, limit):
     """Every flagged cell of the cluster must hug the extracted locus."""
-    for c in centers:
-        if torus:
-            d = np.linalg.norm(torus_delta(verts, c), axis=-1).min()
-        else:
-            d = np.linalg.norm(verts - c, axis=-1).min()
-        if d > limit:
-            raise LocusAmbiguityError(
-                f"cluster of {len(cluster)} cells (gap {gap_index}) is not covered by "
-                f"the extracted locus: cell at {np.round(c, 3).tolist()} lies "
-                f"{d:.3f} away; locus dimension ambiguous"
-            )
+    verts = np.asarray(verts)
+    squared = 0.0
+    for a in range(3):  # one (centers, verts) plane per axis bounds the memory
+        delta = verts[None, :, a] - centers[:, None, a]
+        if grid.torus:
+            delta = reduce_torus(delta)
+        squared = squared + delta * delta
+    dist = np.sqrt(squared.min(axis=1))
+    far = np.flatnonzero(dist > limit)
+    if far.size:
+        c, d = centers[far[0]], dist[far[0]]
+        raise LocusAmbiguityError(
+            f"cluster of {len(cluster)} cells (gap {gap_index}) is not covered by "
+            f"the extracted locus: cell at {np.round(c, 3).tolist()} lies "
+            f"{d:.3f} away; locus dimension ambiguous"
+        )
 
 
 def extract_locus(model, resolution=48, gap_threshold=None, gap_index=None,
-                  threads=1, step_factor=0.6, vertex_tol=VERTEX_TOL):
+                  step_factor=0.6, vertex_tol=VERTEX_TOL):
     """Scan, classify, refine and trace: the full locus of a model."""
     scan = scan_grid(
-        model, resolution=resolution, gap_threshold=gap_threshold,
-        gap_index=gap_index, threads=threads,
+        model, resolution=resolution, gap_threshold=gap_threshold, gap_index=gap_index,
     )
-    grid = scan.grid
-    points, loops, arcs = [], [], []
-    for g in sorted(scan.flagged):
-        clusters = _cluster_cells(scan.flagged[g], grid.n_cells, grid.torus)
-        for cluster in clusters:
-            item = _classify_cluster(
-                model, grid, cluster, g, step_factor, vertex_tol,
-                _cluster_gap_bound(scan, cluster, g),
-            )
-            if isinstance(item, WeylPoint):
-                points.append(item)
-            elif isinstance(item, NodalLoop):
-                loops.append(item)
-            elif isinstance(item, OpenArc):
-                arcs.append(item)
-    points = _dedupe_points(points, model.domain.is_torus)
+    items = _resolve_clusters(model, scan, step_factor, vertex_tol)
     return NodalLocus(
-        points=points,
-        loops=loops,
-        open_arcs=arcs,
+        points=_dedupe_points(_of_kind(items, WeylPoint), model.domain.is_torus),
+        loops=_of_kind(items, NodalLoop),
+        open_arcs=_of_kind(items, OpenArc),
         model_name=model.name,
         resolution=resolution,
     )

@@ -249,11 +249,14 @@ class BlochModel:
 
     def direct_gap(self, k, gap_index=None):
         """Gap E_{g+1} - E_g between bands g and g+1 (1-based, default occ)."""
+        return self.gap_of(self.spectrum(k), gap_index)
+
+    def gap_of(self, spectrum, gap_index=None):
+        """Gap g (1-based, default occ) of an ascending ``spectrum`` array."""
         g = self.occupied_count if gap_index is None else int(gap_index)
         if not (1 <= g < self.band_count):
             raise ValueError(f"gap_index must lie in [1, {self.band_count - 1}]")
-        ev = self.spectrum(k)
-        return ev[..., g] - ev[..., g - 1]
+        return spectrum[..., g] - spectrum[..., g - 1]
 
     def eigenframes(self, k, occupied=None):
         """Eigenvalues and occupied eigenvector frames at k.

@@ -83,6 +83,7 @@ class TestExitCodes:
         (["report", "--model", "weyl-lattice", "--param", "m=1.7", "--mesh", "0x0"], 64),
         (["verify", "--model", "weyl-lattice", "--param", "m=2",
           "--ledger-file", "missing.json"], 64),
+        (["cohomology", "--fixture", "link", "--resolution", "8"], 64),
     ])
     def test_module_exit_status(self, tmp_path, argv, code):
         src = os.path.dirname(os.path.dirname(bt.__file__))
@@ -328,6 +329,37 @@ class TestCohomologyCmd:
             "T3(n=16)", "T3-minus-tube(n=16)", "tube(n=16,r=1)", "S_W(n=16,r=1)"
         ]
         assert all(v["passed"] for v in payload["verdicts"])
+
+    @staticmethod
+    def table_spaces(tmp_path):
+        payload = json.loads((tmp_path / "cohomology.json").read_text())
+        return [t["space"] for t in payload["tables"]], payload["verdicts"]
+
+    def test_link_fixture_defaults_pass(self, tmp_path):
+        # radius-1 tubes keep the two linked components apart
+        assert run(["cohomology", "--fixture", "link", "--out", str(tmp_path)]) == 0
+        spaces, verdicts = self.table_spaces(tmp_path)
+        assert "tube(n=16,r=1)" in spaces
+        assert verdicts and all(v["passed"] for v in verdicts)
+
+    def test_explicit_tube_voxels_kept(self, tmp_path, capsys):
+        code = run(["cohomology", "--fixture", "link", "--tube-voxels", "2",
+                    "--no-integral", "--out", str(tmp_path)])
+        assert code == 1
+        assert "self-touching" in capsys.readouterr().err
+
+    def test_other_fixtures_default_radius_two(self, tmp_path):
+        assert run(["cohomology", "--fixture", "point", "--no-integral",
+                    "--out", str(tmp_path)]) == 0
+        assert "tube(n=16,r=2)" in self.table_spaces(tmp_path)[0]
+
+    @pytest.mark.parametrize("resolution", ["8", "15"])
+    def test_link_fixture_small_resolution_exit_64(self, tmp_path, capsys, resolution):
+        code = run(["cohomology", "--fixture", "link", "--resolution", resolution,
+                    "--out", str(tmp_path)])
+        assert code == 64
+        assert "resolution >= 16" in capsys.readouterr().err
+        assert not (tmp_path / "cohomology.json").exists()
 
     def test_snf_resolution_removed(self, tmp_path, capsys):
         code = run(["cohomology", "--resolution", "8", "--snf-resolution", "8",

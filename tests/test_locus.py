@@ -8,7 +8,16 @@ from bandtopo.exceptions import LocusAmbiguityError, RefinementError
 from bandtopo.locus import scan_grid, split_components, trace_loops
 from bandtopo.model import CoefficientSpec, TwoBandField, model_from_field, torus_delta
 
-from conftest import dense_zero_count, gapped_model, random_two_band
+from conftest import (
+    dense_zero_count,
+    gapped_model,
+    random_two_band,
+    reference_cluster_cells,
+    reference_correct_to_curve,
+    reference_gap_tangent,
+    reference_newton_on_field,
+    reference_transverse_slope,
+)
 
 
 def cluster_count(scan, gap_index=1):
@@ -51,14 +60,20 @@ class TestScanGrid:
         b = scan_grid(weyl2, resolution=16, gap_threshold=0.4)
         assert a.flagged == b.flagged
 
-    def test_threads_do_not_change_result(self, weyl2):
-        a = scan_grid(weyl2, resolution=16, gap_threshold=0.4, threads=1)
-        b = scan_grid(weyl2, resolution=16, gap_threshold=0.4, threads=4)
-        assert a.flagged == b.flagged
-
     def test_resolution_floor(self, weyl2):
         with pytest.raises(ValueError):
             scan_grid(weyl2, resolution=4)
+
+    def test_one_spectrum_per_scan(self, four_band_lattice, monkeypatch):
+        # both gaps come from one eigensolve per grid point
+        calls = count_spectrum_calls(monkeypatch)
+        scan = scan_grid(four_band_lattice, resolution=16)
+        assert sorted(scan.flagged) == [1, 2]
+        assert sum(calls) == 16**3
+
+    def test_explicit_gap_index_checked(self, weyl2):
+        with pytest.raises(ValueError, match="gap_index"):
+            scan_grid(weyl2, resolution=8, gap_index=2)
 
 
 class TestRefinePoint:
@@ -196,3 +211,201 @@ class TestLocusInvariants:
         assert kinds == ["arc", "loop"]
         ids = [c["id"] for c in payload["components"]]
         assert len(set(ids)) == len(ids)
+
+
+def count_spectrum_calls(monkeypatch):
+    """Count ``BlochModel.spectrum`` calls; returns the k-points of each call."""
+    calls = []
+    spectrum = bt.BlochModel.spectrum
+
+    def counted(self, k):
+        calls.append(int(np.prod(np.shape(k)[:-1])))
+        return spectrum(self, k)
+
+    monkeypatch.setattr(bt.BlochModel, "spectrum", counted)
+    return calls
+
+
+BUILTIN_LOCI = ["weyl2_locus", "nodal_loop2_locus", "four_band_locus",
+                "four_band_lattice_locus"]
+
+
+def locus_and_model(request, name):
+    locus = request.getfixturevalue(name)
+    model = request.getfixturevalue(name[: -len("_locus")])
+    return locus, model
+
+
+def near_locus_points(locus, rng, per_curve=2, noise=0.05):
+    """(k, gap index) a little off the refined points and traced vertices."""
+    anchors = [(p.position, p.gap_index) for p in locus.points]
+    for curve in (*locus.loops, *locus.open_arcs):
+        for i in rng.choice(len(curve.vertices), size=per_curve, replace=False):
+            anchors.append((curve.vertices[i], curve.gap_index))
+    return [(k + rng.normal(scale=noise, size=3), g) for k, g in anchors]
+
+
+def scan_spacing(model, resolution=32):
+    return bt.locus.ScanGrid(model, resolution).spacing
+
+
+class TestBatchedKernels:
+    """The batched stencils give bitwise the pointwise results of the
+    references in conftest."""
+
+    @pytest.mark.parametrize("name", BUILTIN_LOCI)
+    def test_gap_tangent_bitwise(self, request, name):
+        from bandtopo.locus import _gap_tangent
+
+        _, model = locus_and_model(request, name)
+        rng = np.random.default_rng(11)
+        ext = math.pi if model.domain.is_torus else 0.8 * model.domain.extent
+        for k in rng.uniform(-ext, ext, size=(6, 3)):
+            for g in range(1, model.band_count):
+                # the floor, the seed corrector's and the marcher's steps
+                for fd in (1e-5, scan_spacing(model) / 10, 0.6 * scan_spacing(model) / 8):
+                    t, w = _gap_tangent(model, k, g, fd)
+                    rt, rw = reference_gap_tangent(model, k, g, fd)
+                    assert t.tobytes() == rt.tobytes()
+                    assert w.tobytes() == rw.tobytes()
+
+    @pytest.mark.parametrize("name", BUILTIN_LOCI)
+    def test_corrector_bitwise(self, request, name):
+        from bandtopo.exceptions import RefinementError
+        from bandtopo.locus import VERTEX_TOL, _correct_to_curve
+
+        locus, model = locus_and_model(request, name)
+        rng = np.random.default_rng(12)
+        fd = max(scan_spacing(model) / 10.0, 1e-5)
+        outcomes = set()
+        for k, g in near_locus_points(locus, rng)[:8]:
+            tangent, _ = reference_gap_tangent(model, k, g, fd)
+            try:
+                ref = reference_correct_to_curve(model, k, tangent, g, VERTEX_TOL, fd)
+            except RefinementError as exc:
+                with pytest.raises(RefinementError) as info:
+                    _correct_to_curve(model, k, tangent, g, VERTEX_TOL, fd)
+                assert str(info.value) == str(exc)
+                assert info.value.position.tobytes() == exc.position.tobytes()
+                outcomes.add("stalled")
+                continue
+            got = _correct_to_curve(model, k, tangent, g, VERTEX_TOL, fd)
+            assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+            outcomes.add("converged")
+        # point-like loci stall in the curve corrector; near a curve it converges
+        point_like = name == "weyl2_locus"
+        assert ("converged" in outcomes) != point_like
+
+    @pytest.mark.parametrize("name", BUILTIN_LOCI[1:])
+    def test_transverse_slope_bitwise(self, request, name):
+        from bandtopo.locus import _transverse_slope
+
+        locus, model = locus_and_model(request, name)
+        spacing = scan_spacing(model)
+        for curve in (*locus.loops, *locus.open_arcs):
+            got = _transverse_slope(model, curve.vertices, curve.gap_index, spacing)
+            ref = reference_transverse_slope(model, curve.vertices, curve.gap_index, spacing)
+            assert got == ref
+
+    @pytest.mark.parametrize("model", [bt.builtin("weyl-lattice", m=2), random_two_band(3)],
+                             ids=["weyl-lattice", "random-two-band-3"])
+    def test_newton_bitwise(self, model):
+        from bandtopo.locus import POINT_TOL, _newton_on_field
+
+        field = model.two_band_field
+        rng = np.random.default_rng(13)
+        converged = 0
+        for seed in rng.uniform(-math.pi, math.pi, size=(6, 3)):
+            got = _newton_on_field(field, seed, POINT_TOL / 2.0, 60)
+            ref = reference_newton_on_field(field, seed, POINT_TOL / 2.0, 60)
+            assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+            converged += 0 < got[1] < 60
+        assert converged
+
+
+def random_cell_sets():
+    """Flagged-cell sets: sparse random sets (many seam crossings), lines
+    and a helix that wind around T^3, and box grids."""
+    rng = np.random.default_rng(5)
+    sets = []
+    for n, density in ((8, 0.08), (8, 0.25), (12, 0.05), (12, 0.15), (16, 0.03)):
+        mask = rng.random((n, n, n)) < density
+        sets.append((n, True, [tuple(map(int, c)) for c in np.argwhere(mask)]))
+    n = 12
+    line = [(i, 3, 5) for i in range(n)]
+    helix = [(i, (2 * i) % n, (i + j) % n) for i in range(n) for j in (0, 1)]
+    seam = [(n - 1, 0, 0), (0, 0, 0), (0, n - 1, n - 1), (1, 1, n - 1), (6, 6, 6)]
+    sets += [(n, True, line), (n, True, helix), (n, True, seam), (n, True, line + helix)]
+    for n, density in ((8, 0.2), (12, 0.1)):
+        mask = rng.random((n, n, n)) < density
+        cells = [tuple(map(int, c)) for c in np.argwhere(mask)]
+        sets.append((n, False, cells))
+    sets.append((12, False, line + seam))
+    return sets
+
+
+class TestClusterCells:
+    @pytest.mark.parametrize("case", range(len(random_cell_sets())))
+    def test_matches_set_reference(self, case):
+        from bandtopo.locus import _cluster_cells
+
+        n, torus, cells = random_cell_sets()[case]
+        rng = np.random.default_rng(case)
+        shuffled = [cells[i] for i in rng.permutation(len(cells))]
+        got = _cluster_cells(shuffled, n, torus)
+        assert got == reference_cluster_cells(shuffled, n, torus)
+        assert all(type(x) is int for cl in got for c in cl for x in c)
+
+    def test_winding_clusters_unwrapped(self):
+        from bandtopo.locus import _cluster_cells
+
+        line = [(i, 3, 5) for i in range(12)]
+        (cluster,) = _cluster_cells(line, 12, True)
+        assert np.ptp(np.array(cluster)[:, 0]) == 11
+
+    @pytest.mark.parametrize("name", BUILTIN_LOCI)
+    def test_scan_clusters_match_reference(self, request, name):
+        from bandtopo.locus import _cluster_cells
+
+        _, model = locus_and_model(request, name)
+        scan = scan_grid(model, resolution=32)
+        for g, cells in scan.flagged.items():
+            assert _cluster_cells(cells, 32, scan.grid.torus) == reference_cluster_cells(
+                cells, 32, scan.grid.torus
+            )
+
+    def test_empty(self):
+        from bandtopo.locus import _cluster_cells
+
+        assert _cluster_cells([], 8, True) == []
+
+
+class TestCoverage:
+    def test_names_first_uncovered_cell(self, weyl2):
+        from bandtopo.locus import ScanGrid, _check_coverage
+
+        grid = ScanGrid(weyl2, 16)
+        verts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        centers = np.array([[0.1, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        with pytest.raises(LocusAmbiguityError, match=r"cell at \[2\.0, 0\.0, 0\.0\] lies 1\.500"):
+            _check_coverage(verts, centers, grid, [None] * 3, 1, 1.0)
+
+    def test_torus_distance_wraps(self, weyl2):
+        from bandtopo.locus import ScanGrid, _check_coverage
+
+        grid = ScanGrid(weyl2, 16)
+        _check_coverage(np.array([[-3.1, 0.0, 0.0]]), np.array([[3.1, 0.0, 0.0]]),
+                        grid, [None], 1, 0.1)
+
+
+class TestEigensolveCounts:
+    """Each stencil is one eigensolve call, so the extraction makes few."""
+
+    @pytest.mark.parametrize("name, m, limit", [
+        ("four-band-linked-lattice", 1, 2400),
+        ("weyl-lattice", 2, 250),
+    ])
+    def test_extract_spectrum_calls(self, monkeypatch, name, m, limit):
+        calls = count_spectrum_calls(monkeypatch)
+        bt.extract_locus(bt.builtin(name, m=m), resolution=32)
+        assert 0 < len(calls) <= limit
