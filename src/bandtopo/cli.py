@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cohomology import (
+    MIN_COMPLEX_RESOLUTION,
     complement_complex,
     klein_complex,
     mv_dimension_check,
@@ -92,14 +93,22 @@ def _load_model(args):
     raise ConfigError("a model is required: pass --model NAME or --config PATH")
 
 
+def _int_at_least(text, floor, what):
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < floor:
+        raise argparse.ArgumentTypeError(f"{what} must be at least {floor}, got {n}")
+    return n
+
+
 def _grid_size(text):
     """``--grid`` type: an integer scan resolution of at least 8."""
-    n = int(text)  # argparse reports a ValueError as an invalid value
-    if n < MIN_SCAN_RESOLUTION:
-        raise argparse.ArgumentTypeError(
-            f"scan resolution must be at least {MIN_SCAN_RESOLUTION}, got {n}"
-        )
-    return n
+    return _int_at_least(text, MIN_SCAN_RESOLUTION, "scan resolution")
+
+
+def _complex_resolution(text):
+    """``cohomology --resolution`` type: an integer of at least 4, the
+    smallest cubical T^3."""
+    return _int_at_least(text, MIN_COMPLEX_RESOLUTION, "complex resolution")
 
 
 def _slice_values(text):
@@ -359,12 +368,17 @@ def cmd_link(args):
 FIXTURES = ("none", "point", "loop", "link", "torsion")
 
 
+def _loop_square(resolution):
+    """(lo, hi): the loop fixture's square spans [lo, hi] on x and y."""
+    return 2, max(resolution - 4, resolution // 2 + 2)
+
+
 def _fixture_locus(name, resolution):
     if name == "point":
         return [voxel_point((resolution // 2,) * 3)]
     if name == "loop":
-        hi = max(resolution - 4, resolution // 2 + 2)
-        return [voxel_rect_loop(resolution, lo=2, hi=hi, plane_z=resolution // 2)]
+        lo, hi = _loop_square(resolution)
+        return [voxel_rect_loop(resolution, lo=lo, hi=hi, plane_z=resolution // 2)]
     if name == "link":
         try:
             return voxel_hopf_link(resolution)
@@ -393,11 +407,20 @@ def _locus_from_file(path, resolution):
 
 
 def _tube_voxels(args):
-    """``--tube-voxels``, by default 1 for the link fixture, whose components
-    a radius-2 tube would join, and 2 otherwise."""
+    """``--tube-voxels``, by default 2, or 1 where a radius-2 tube would touch
+    itself: around the link fixture, and around the loop fixture when its
+    square, or the gap outside it across the torus, spans fewer than
+    2r + 2 = 6 cells (resolution below 12)."""
     if args.tube_voxels is not None:
         return args.tube_voxels
-    return 1 if args.fixture == "link" and not args.from_locus else 2
+    if not args.from_locus:
+        if args.fixture == "link":
+            return 1
+        if args.fixture == "loop":
+            lo, hi = _loop_square(args.resolution)
+            if min(hi - lo, args.resolution - (hi - lo)) < 2 * 2 + 2:
+                return 1
+    return 2
 
 
 def cmd_cohomology(args):
@@ -547,9 +570,11 @@ def build_parser():
     _add_common(p)
     p.add_argument("--fixture", default="loop", choices=FIXTURES)
     p.add_argument("--from-locus", help="voxelize a locus.json instead")
-    p.add_argument("--resolution", type=int, default=16)
+    p.add_argument("--resolution", type=_complex_resolution, default=16,
+                   help="cubes per axis of T^3 (at least 4)")
     p.add_argument("--tube-voxels", type=int, default=None,
-                   help="tube radius in voxels (default 1 for --fixture link, else 2)")
+                   help="tube radius in voxels (default 1 for --fixture link and "
+                   "for --fixture loop below resolution 12, else 2)")
     p.add_argument("--integral", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_cohomology)
 

@@ -23,6 +23,7 @@ from .exceptions import ComplexError
 from .smith import eliminate_units, rank_field, smith_normal_form
 
 CUBE_FACE_SIGNS = (1, -1, 1)
+MIN_COMPLEX_RESOLUTION = 4
 
 
 @dataclass
@@ -253,8 +254,8 @@ def torus_complex(resolution):
     3v + a, 3v + a and v start at v, the face normal to axis a.
     """
     n = int(resolution)
-    if n < 4:
-        raise ComplexError("torus complex needs resolution >= 4")
+    if n < MIN_COMPLEX_RESOLUTION:
+        raise ComplexError(f"torus complex needs resolution >= {MIN_COMPLEX_RESOLUTION}")
     nv = n**3
     grid = np.arange(nv).reshape(n, n, n)
     v = grid.ravel()

@@ -47,20 +47,29 @@ def frames_at(model, points, occupied=None):
 
 
 def _polar_unitary(m):
-    """Closest (stack of) unitary/orthogonal matrices to m."""
-    u, s, vh = np.linalg.svd(m)
+    """Closest (stack of) unitary/orthogonal matrices to m.
+
+    A stack of 1x1 overlaps z (one occupied band) takes the closed form
+    z / |z|, the abelian link variable of Fukui, Hatsugai & Suzuki, with
+    singular value |z|; larger blocks take u @ vh of one batched SVD.
+    """
+    rank_one = m.shape[-1] == 1
+    if rank_one:
+        s = np.abs(m)
+    else:
+        u, s, vh = np.linalg.svd(m)
     if np.min(s) < 1e-8:
         raise MeshResolutionError(
             "overlap matrix nearly singular: mesh too coarse or surface too "
             "close to the nodal set",
             residual=float(np.min(s)),
         )
-    return u @ vh
+    return m / s if rank_one else u @ vh
 
 
 def _links(frames, a, b):
     """Polar-unitarized overlaps F_a^dagger F_b for index arrays a, b of any
-    shape, in one batched SVD; exactly the identity where a == b."""
+    shape, in one batched polar step; exactly the identity where a == b."""
     links = _polar_unitary(np.conj(np.swapaxes(frames[a], -1, -2)) @ frames[b])
     links[a == b] = np.eye(frames.shape[-1])
     return links

@@ -13,6 +13,7 @@ are bitwise those of one eigensolve per point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -27,6 +28,13 @@ from .model import TWO_PI, as_k_array, reduce_torus, torus_delta
 POINT_TOL = 1e-8
 VERTEX_TOL = 1e-6
 MIN_SCAN_RESOLUTION = 8
+# a two-band cluster whose seed Hessian of gap^2 has eigenvalue ratio
+# w[0]/w[-1] above this is tried as a point first, and kept only if the ratio
+# at the refined zero clears it too. Measured on the builtins and random
+# two-band models at grids 16-48: point seeds >= 0.12 and refined points
+# >= 0.16; curve seeds <= 0.035 at grid 32 (up to 0.19 at grid 16), and
+# zeros refined onto curves <= 0.0094
+SEED_POINT_RATIO = 0.07
 # k-points per eigensolve call of the scan: one call for the whole grid
 # raised peak memory by ~10 MB at grid 32
 SCAN_BLOCK = 2048
@@ -593,11 +601,12 @@ def _cluster_seed(model, grid, cluster, gap_index):
     return centers, centers[int(np.argmin(gaps))], float(np.min(gaps))
 
 
-def _point_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_bound):
+def _point_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_bound,
+                        min_ratio=1e-3):
     point = refine_point(model, seed, gap_index=gap_index)
     # a resolved isolated zero has a full-rank squared-gap Hessian
     _, eigs = _gap_tangent(model, point.position, gap_index, max(grid.spacing / 8, 1e-5))
-    if eigs[-1] <= 0 or eigs[0] / eigs[-1] < 1e-3:
+    if eigs[-1] <= 0 or eigs[0] / eigs[-1] < min_ratio:
         raise LocusAmbiguityError(
             f"zero near {np.round(point.position, 4).tolist()} is not point-like "
             "(rank-deficient crossing); increase the scan resolution"
@@ -608,10 +617,12 @@ def _point_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_boun
     return point
 
 
-def _curve_from_cluster(model, grid, cluster, centers, seed, gap_index,
+def _curve_from_cluster(model, grid, cluster, centers, seed, seed_tangent, gap_index,
                         step_factor, vertex_tol, gap_bound):
     step = step_factor * grid.spacing
-    corrected, _ = _correct_seed(model, seed, gap_index, vertex_tol, grid.spacing)
+    corrected, _ = _correct_to_curve(
+        model, seed, seed_tangent, gap_index, vertex_tol, _seed_fd(grid.spacing)
+    )
     verts, closed, winding = _march_curve(
         model, corrected, gap_index, step, vertex_tol,
         grid.torus, None if grid.torus else model.domain.extent,
@@ -687,29 +698,43 @@ def _transverse_slope(model, verts, gap_index, spacing):
 def _classify_cluster(model, grid, cluster, gap_index, step_factor, vertex_tol,
                       gap_bound):
     """Resolve one flagged-cell cluster into a point, loop, arc, or None
-    (spurious near-gap region with no actual zero)."""
+    (spurious near-gap region with no actual zero).
+
+    A two-band cluster whose seed Hessian of gap^2 has a smallest-to-largest
+    eigenvalue ratio above SEED_POINT_RATIO is tried as a point first, and
+    kept only if the Hessian at the refined zero clears the same ratio.  Any
+    other cluster, and a point attempt that fails, goes through the curve
+    tracer and then the point refinement.  Multiband clusters always trace
+    first: their point refinement is Nelder-Mead on the gap, which drifts
+    along a nodal curve for thousands of eigensolves before it stops.
+    """
     centers, seed, _ = _cluster_seed(model, grid, cluster, gap_index)
+    as_point = functools.partial(
+        _point_from_cluster, model, grid, cluster, centers, seed, gap_index, gap_bound
+    )
     if _bbox_diameter(cluster) < 3:
         try:
-            return _point_from_cluster(
-                model, grid, cluster, centers, seed, gap_index, gap_bound
-            )
+            return as_point()
         except RefinementError:
             # refinement bottomed out above tolerance: near-gap but no zero
             return None
+    tangent, eigs = _gap_tangent(model, seed, gap_index, _seed_fd(grid.spacing))
+    if model.band_count == 2 and eigs[-1] > 0 and eigs[0] / eigs[-1] > SEED_POINT_RATIO:
+        try:
+            return as_point(SEED_POINT_RATIO)
+        except (RefinementError, LocusAmbiguityError):
+            pass
     try:
         # ambiguity errors mean zeros were found but are not a clean curve:
         # those always propagate; refinement errors mean no zero was reached
         # and the cluster may still be an isolated point or spurious
         return _curve_from_cluster(
-            model, grid, cluster, centers, seed, gap_index, step_factor,
+            model, grid, cluster, centers, seed, tangent, gap_index, step_factor,
             vertex_tol, gap_bound,
         )
     except RefinementError as curve_exc:
         try:
-            return _point_from_cluster(
-                model, grid, cluster, centers, seed, gap_index, gap_bound
-            )
+            return as_point()
         except RefinementError:
             return None
         except LocusAmbiguityError:
@@ -760,10 +785,9 @@ def trace_loops(model, scan, step_factor=0.6, vertex_tol=VERTEX_TOL):
     return _of_kind(items, NodalLoop), _of_kind(items, OpenArc)
 
 
-def _correct_seed(model, k, gap_index, tol, spacing):
-    fd = max(spacing / 10.0, 1e-5)
-    tangent, _ = _gap_tangent(model, k, gap_index, fd)
-    return _correct_to_curve(model, k, tangent, gap_index, tol, fd)
+def _seed_fd(spacing):
+    """Finite-difference step of the seed Hessian and the seed corrector."""
+    return max(spacing / 10.0, 1e-5)
 
 
 def _check_coverage(verts, centers, grid, cluster, gap_index, limit):

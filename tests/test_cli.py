@@ -84,6 +84,9 @@ class TestExitCodes:
         (["verify", "--model", "weyl-lattice", "--param", "m=2",
           "--ledger-file", "missing.json"], 64),
         (["cohomology", "--fixture", "link", "--resolution", "8"], 64),
+        (["cohomology", "--fixture", "none", "--resolution", "3"], 64),
+        (["cohomology", "--fixture", "loop", "--resolution", "-3"], 64),
+        (["cohomology", "--fixture", "point", "--resolution", "0"], 64),
     ])
     def test_module_exit_status(self, tmp_path, argv, code):
         src = os.path.dirname(os.path.dirname(bt.__file__))
@@ -360,6 +363,24 @@ class TestCohomologyCmd:
         assert code == 64
         assert "resolution >= 16" in capsys.readouterr().err
         assert not (tmp_path / "cohomology.json").exists()
+
+    @pytest.mark.parametrize("resolution, radius", [("8", 1), ("10", 1), ("12", 2)])
+    def test_loop_fixture_default_radius(self, tmp_path, resolution, radius):
+        # below n = 12 the square (or the gap around it) is too narrow for r = 2
+        assert run(["cohomology", "--fixture", "loop", "--resolution", resolution,
+                    "--out", str(tmp_path)]) == 0
+        spaces, verdicts = self.table_spaces(tmp_path)
+        assert f"tube(n={resolution},r={radius})" in spaces
+        assert verdicts and all(v["passed"] for v in verdicts)
+
+    @pytest.mark.parametrize("fixture", ["none", "loop", "point"])
+    @pytest.mark.parametrize("resolution", ["0", "-3", "2", "3"])
+    def test_resolution_below_four_exit_64(self, tmp_path, capsys, fixture, resolution):
+        code = run(["cohomology", "--fixture", fixture, "--resolution", resolution,
+                    "--out", str(tmp_path)])
+        assert code == 64
+        assert "argument --resolution" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_snf_resolution_removed(self, tmp_path, capsys):
         code = run(["cohomology", "--resolution", "8", "--snf-resolution", "8",

@@ -9,7 +9,7 @@ from bandtopo.exceptions import (
     SurfaceError,
     UnsupportedModelError,
 )
-from bandtopo.invariants import frames_at, holonomy
+from bandtopo.invariants import _polar_unitary, frames_at, holonomy
 from bandtopo.model import CoefficientSpec, TwoBandField, reduce_torus
 
 from conftest import (
@@ -258,16 +258,30 @@ class TestHolonomy:
         tube = bt.tube_around(loop, 0.25, 32, 32)
         bt.validate(tube, four_band)
         del svd_calls[:]
-        for call in (
-            lambda: bt.chern_flux(weyl2, sphere),
-            lambda: bt.berry_phase(nodal_loop2, mer),
-            lambda: bt.w1_along(nodal_loop2, mer),
-        ):
-            call()
-            assert len(svd_calls) == 1
-            del svd_calls[:]
+        # one occupied band: the rank-1 links take no SVD at all
+        bt.chern_flux(weyl2, sphere)
+        bt.berry_phase(nodal_loop2, mer)
+        bt.w1_along(nodal_loop2, mer)
+        assert svd_calls == []
         bt.w2_on(four_band, tube)
         assert len(svd_calls) <= 3
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_rank_one_polar_matches_svd(self, dtype):
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(7, 5, 1, 1))
+        if dtype is complex:
+            m = m + 1j * rng.normal(size=m.shape)
+        u, _, vh = np.linalg.svd(m)
+        got = _polar_unitary(m)
+        assert got.shape == m.shape and got.dtype == m.dtype
+        assert np.max(np.abs(got - u @ vh)) <= 1e-15
+
+    def test_rank_one_polar_near_singular(self):
+        z = np.array([[[0.6 + 0.8j]], [[3e-9 - 4e-9j]]])
+        with pytest.raises(MeshResolutionError) as exc:
+            _polar_unitary(z)
+        assert exc.value.residual == abs(z[1, 0, 0])
 
 
 class TestBerryPhase:

@@ -409,3 +409,79 @@ class TestEigensolveCounts:
         calls = count_spectrum_calls(monkeypatch)
         bt.extract_locus(bt.builtin(name, m=m), resolution=32)
         assert 0 < len(calls) <= limit
+
+
+def rotated_nodal_loop(m, seed):
+    """nodal-loop-real with its field rotated by a random orthogonal matrix:
+    still one nodal loop, but no component of h vanishes identically, so
+    Newton on h can converge onto the loop."""
+    base = bt.builtin("nodal-loop-real", m=m).two_band_field
+    rot = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+    comps = [
+        CoefficientSpec([(kind, n, rot[i, j] * amp) for j in range(3)
+                         for kind, n, amp in base.components[j].entries])
+        for i in range(3)
+    ]
+    return model_from_field(f"rotated-nodal-loop-{seed}", TwoBandField(comps), reality=False)
+
+
+SEED_CASES = {
+    "weyl-1.7": (lambda: bt.builtin("weyl-lattice", m=1.7), 32),
+    "weyl-2": (lambda: bt.builtin("weyl-lattice", m=2), 32),
+    "nodal-loop-real": (lambda: bt.builtin("nodal-loop-real", m=2), 32),
+    "four-band-linked": (lambda: bt.builtin("four-band-linked", m=1), 32),
+    "four-band-linked-lattice": (lambda: bt.builtin("four-band-linked-lattice", m=1), 32),
+    **{f"random-{s}": (lambda s=s: random_two_band(s), 32) for s in range(6)},
+    # coarse grids, where curve seeds can pass the seed-ratio test
+    "four-band-linked-lattice-16": (lambda: bt.builtin("four-band-linked-lattice", m=1), 16),
+    "rotated-nodal-loop-16": (lambda: rotated_nodal_loop(1.5, 0), 16),
+}
+
+
+class TestSeedClassification:
+    """Trying point-like seeds as points first changes no extracted locus."""
+
+    @staticmethod
+    def components(locus):
+        # to_record keeps every coordinate as a float, so the records compare
+        # positions and vertices exactly
+        return [c.to_record() for c in split_components(locus)]
+
+    @pytest.mark.parametrize("case", sorted(SEED_CASES))
+    def test_same_locus_as_curve_first(self, monkeypatch, case):
+        from bandtopo import locus as locus_mod
+
+        make, grid = SEED_CASES[case]
+        model = make()
+        corrector = []
+        correct = locus_mod._correct_to_curve
+
+        def counted(*args, **kwargs):
+            corrector.append(None)
+            return correct(*args, **kwargs)
+
+        monkeypatch.setattr(locus_mod, "_correct_to_curve", counted)
+        got = self.components(bt.extract_locus(model, resolution=grid))
+        seed_first = len(corrector)
+        monkeypatch.setattr(locus_mod, "SEED_POINT_RATIO", math.inf)
+        assert got == self.components(bt.extract_locus(model, resolution=grid))
+        if case.startswith("weyl"):
+            # curve-first runs the corrector on every Weyl cluster; seed-first never
+            assert seed_first == 0 < len(corrector)
+
+    def test_rotated_loop_stays_a_loop(self):
+        # Newton converges onto this loop from a point-like seed; only the
+        # Hessian ratio at the refined zero rejects it as a point
+        locus = bt.extract_locus(rotated_nodal_loop(1.5, 0), resolution=16)
+        assert (len(locus.points), len(locus.loops)) == (0, 1)
+
+    @pytest.mark.parametrize("name, m, grid, limit", [
+        ("weyl-lattice", 2, 32, 40),
+        ("four-band-linked-lattice", 1, 16, 1500),
+    ])
+    def test_spectrum_calls(self, monkeypatch, name, m, grid, limit):
+        # Weyl clusters run no curve tracer; multiband curve clusters run no
+        # Nelder-Mead point attempt, even where their seeds look point-like
+        calls = count_spectrum_calls(monkeypatch)
+        bt.extract_locus(bt.builtin(name, m=m), resolution=grid)
+        assert 0 < len(calls) <= limit
