@@ -111,6 +111,11 @@ def _complex_resolution(text):
     return _int_at_least(text, MIN_COMPLEX_RESOLUTION, "complex resolution")
 
 
+def _tube_voxel_radius(text):
+    """``cohomology --tube-voxels`` type: an integer tube radius of at least 1."""
+    return _int_at_least(text, 1, "tube radius in voxels")
+
+
 def _slice_values(text):
     """``--values`` type: a comma-separated list of finite floats."""
     try:
@@ -367,6 +372,10 @@ def cmd_link(args):
 
 FIXTURES = ("none", "point", "loop", "link", "torsion")
 
+# below this the loop fixture's square (or the gap around it) is narrower
+# than the 2r + 2 = 4 cells a radius-1 tube needs
+LOOP_FIXTURE_MIN_RESOLUTION = 8
+
 
 def _loop_square(resolution):
     """(lo, hi): the loop fixture's square spans [lo, hi] on x and y."""
@@ -377,6 +386,11 @@ def _fixture_locus(name, resolution):
     if name == "point":
         return [voxel_point((resolution // 2,) * 3)]
     if name == "loop":
+        if resolution < LOOP_FIXTURE_MIN_RESOLUTION:
+            raise ConfigError(
+                f"--fixture loop needs --resolution >= {LOOP_FIXTURE_MIN_RESOLUTION}, "
+                f"got {resolution}"
+            )
         lo, hi = _loop_square(resolution)
         return [voxel_rect_loop(resolution, lo=lo, hi=hi, plane_z=resolution // 2)]
     if name == "link":
@@ -572,7 +586,7 @@ def build_parser():
     p.add_argument("--from-locus", help="voxelize a locus.json instead")
     p.add_argument("--resolution", type=_complex_resolution, default=16,
                    help="cubes per axis of T^3 (at least 4)")
-    p.add_argument("--tube-voxels", type=int, default=None,
+    p.add_argument("--tube-voxels", type=_tube_voxel_radius, default=None,
                    help="tube radius in voxels (default 1 for --fixture link and "
                    "for --fixture loop below resolution 12, else 2)")
     p.add_argument("--integral", action=argparse.BooleanOptionalAction, default=True)

@@ -285,9 +285,11 @@ def degree(fld, surface, residual_tol=DEGREE_RESIDUAL_TOL):
 # -- Berry phase and first Stiefel-Whitney charge -----------------------------------
 
 
-def _loop_frames(model, loop, occupied):
-    pts = np.asarray(loop.vertices, dtype=float)
-    return frames_at(model, pts, occupied=occupied)
+def loop_frames(model, loop, occupied_count=None, min_gap=0.01):
+    """Occupied frames at the vertices of a closed loop, once the gap along
+    it (vertices and edge midpoints) has been checked to exceed min_gap."""
+    _check_loop_gap(model, loop, min_gap)
+    return frames_at(model, np.asarray(loop.vertices, dtype=float), occupied=occupied_count)
 
 
 def _loop_holonomy(frames):
@@ -313,12 +315,11 @@ def berry_phase(model, loop, occupied_count=None, min_gap=0.01, frames=None):
     """Berry phase of the occupied frame around a closed loop, in [0, 2 pi).
 
     For reality-flagged models the nearest quantized value in {0, pi} and
-    the distance to it are reported as well.
+    the distance to it are reported as well.  ``frames``, if given, are the
+    gap-checked frames of ``loop_frames``.
     """
-    occ = model.occupied_count if occupied_count is None else int(occupied_count)
-    _check_loop_gap(model, loop, min_gap)
     if frames is None:
-        frames = _loop_frames(model, loop, occ)
+        frames = loop_frames(model, loop, occupied_count, min_gap)
     n = frames.shape[0]
     phase = (-np.angle(np.linalg.det(_loop_holonomy(frames)))) % TWO_PI
     quantized = None
@@ -337,14 +338,14 @@ def berry_phase(model, loop, occupied_count=None, min_gap=0.01, frames=None):
     )
 
 
-def w1_along(model, loop, occupied_count=None, min_gap=0.01):
+def w1_along(model, loop, occupied_count=None, min_gap=0.01, frames=None):
     """First Stiefel-Whitney charge of a loop: 1 iff the real occupied frame
-    returns orientation-reversed after parallel transport around it."""
+    returns orientation-reversed after parallel transport around it.
+    ``frames``, if given, are the gap-checked frames of ``loop_frames``."""
     if not model.reality:
         raise UnsupportedModelError("w1 requires a reality-flagged model")
-    occ = model.occupied_count if occupied_count is None else int(occupied_count)
-    _check_loop_gap(model, loop, min_gap)
-    frames = _loop_frames(model, loop, occ)
+    if frames is None:
+        frames = loop_frames(model, loop, occupied_count, min_gap)
     if np.iscomplexobj(frames):
         raise UnsupportedModelError("w1 requires real eigenframes")
     det = float(np.linalg.det(_loop_holonomy(frames)))

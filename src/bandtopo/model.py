@@ -3,7 +3,12 @@
 Models are immutable after construction and their evaluators are pure, so
 they are safe to share across threads.  Evaluation is vectorized: every
 entry point accepts a single k-point of shape ``(3,)`` or a batch of shape
-``(..., 3)`` and returns matrices of shape ``(..., n, n)``.
+``(..., 3)`` and returns arrays with matching leading dimensions.
+
+Two-band models H = h0 + h . sigma are not evaluated as matrices: each
+projects its terms on the Paulis once, at construction, and its spectrum
+h0 -/+ |h| and eigenvectors come in closed form from that projection.
+Models with more bands assemble H(k) and call the LAPACK eigensolver.
 """
 
 from __future__ import annotations
@@ -228,6 +233,8 @@ class BlochModel:
                 continue
             if not coeff.is_trigonometric:
                 raise ConfigError("torus models require trigonometric coefficients")
+        pauli = _pauli_projection(self) if self.band_count == 2 else None
+        object.__setattr__(self, "_pauli", pauli)
 
     # -- evaluation ------------------------------------------------------
 
@@ -244,8 +251,12 @@ class BlochModel:
         return out
 
     def spectrum(self, k):
-        """Ascending eigenvalues of H(k); shape (..., band_count)."""
-        return np.linalg.eigvalsh(self.hamiltonian(k))
+        """Ascending eigenvalues of H(k); shape (..., band_count).
+
+        Two-band models return h0 -/+ |h| from their Pauli projection."""
+        if self._pauli is None:
+            return np.linalg.eigvalsh(self.hamiltonian(k))
+        return self._two_band(k)[0]
 
     def direct_gap(self, k, gap_index=None):
         """Gap E_{g+1} - E_g between bands g and g+1 (1-based, default occ)."""
@@ -265,29 +276,30 @@ class BlochModel:
         ``(..., band_count, occ)``.  Real models yield real frames.
         """
         occ = self.occupied_count if occupied is None else int(occupied)
-        h = self.hamiltonian(k)
-        energies, vectors = np.linalg.eigh(h)
-        frames = vectors[..., :, :occ]
-        return energies, frames
+        if self._pauli is None:
+            energies, vectors = np.linalg.eigh(self.hamiltonian(k))
+        else:
+            energies, h, norm = self._two_band(k)
+            vectors = _two_band_vectors(h, norm, self.reality)
+        return energies, vectors[..., :, :occ]
 
     # -- two-band structure ----------------------------------------------
 
     @property
     def two_band_field(self):
-        """The R^3-valued field h with H = h . sigma, or None if not 2-band."""
-        if self.band_count != 2:
-            return None
-        comps = []
-        for axis, letter in enumerate("XYZ"):
-            entries = []
-            for coeff, mat in self.terms:
-                weight = np.trace(mat @ PAULI[letter]).real / 2.0
-                if abs(weight) > 1e-14:
-                    entries.extend(
-                        (kind, nvec, amp * weight) for kind, nvec, amp in coeff.entries
-                    )
-            comps.append(CoefficientSpec(entries))
-        return TwoBandField(comps, domain=self.domain)
+        """The R^3-valued field h with H = h0 + h . sigma, or None if not 2-band."""
+        return None if self._pauli is None else self._pauli[1]
+
+    def _two_band(self, k):
+        """Energies h0 -/+ |h|, h and |h| (as ``TwoBandField.norm``) at k,
+        from the Pauli projection."""
+        k = as_k_array(k)
+        self.domain.check(k)
+        identity, fld = self._pauli
+        h = fld(k)
+        norm = np.linalg.norm(h, axis=-1)
+        h0 = identity(k)
+        return np.stack([h0 - norm, h0 + norm], axis=-1), h, norm
 
     # -- serialization -----------------------------------------------------
 
@@ -302,6 +314,46 @@ class BlochModel:
             "domain": self.domain.to_dict(),
             "terms": words,
         }
+
+
+def _pauli_projection(model):
+    """(h0, h): the I and (X, Y, Z) coefficient specs of a two-band model,
+    with each term's Pauli weights folded into its amplitudes."""
+    comps = []
+    for letter in "IXYZ":
+        entries = []
+        for coeff, mat in model.terms:
+            m = mat.real if model.reality else mat
+            weight = np.trace(m @ PAULI[letter]).real / 2.0
+            if abs(weight) > 1e-14:
+                entries.extend(
+                    (kind, nvec, amp * weight) for kind, nvec, amp in coeff.entries
+                )
+        comps.append(CoefficientSpec(entries))
+    return comps[0], TwoBandField(comps[1:], domain=model.domain)
+
+
+def _two_band_vectors(h, norm, real):
+    """Unit eigenvectors of h . sigma as columns (lower, upper); real for
+    real models.
+
+    The lower vector is (hx - i hy, -(hz + |h|)) where hz >= 0 and
+    (hz - |h|, hx + i hy) where hz < 0, so neither entry cancels; the upper
+    one is its orthogonal complement (-conj(b), conj(a)).  At an exact node
+    the columns are those of the identity, as LAPACK returns for H = 0.
+    """
+    hx, hy, hz = np.moveaxis(h, -1, 0)
+    s = np.abs(hz) + norm
+    off = hx if real else hx - 1j * hy
+    up = hz >= 0
+    scale = np.sqrt(hx * hx + hy * hy + s * s)
+    node = scale == 0
+    scale = np.where(node, 1.0, scale)
+    a = np.where(node, 1.0, np.where(up, off, -s) / scale)
+    b = np.where(node, 0.0, np.where(up, -s, np.conj(off)) / scale)
+    lower = np.stack([a, b], axis=-1)
+    upper = np.stack([-np.conj(b), np.conj(a)], axis=-1)
+    return np.stack([lower, upper], axis=-1)
 
 
 def _term_words(model):
@@ -354,13 +406,6 @@ class TwoBandField:
 
     def norm(self, k):
         return np.linalg.norm(self(k), axis=-1)
-
-    def unit(self, k):
-        h = self(k)
-        n = np.linalg.norm(h, axis=-1, keepdims=True)
-        if np.any(n < 1e-15):
-            raise DomainError("two-band field vanishes; cannot normalize")
-        return h / n
 
 
 def model_from_field(name, field, occupied_count=1, reality=None, domain=None):

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import LedgerError, ObstructionError, UnsupportedModelError
-from .invariants import berry_phase, chern_flux, chern_scan, degree, w1_along, w2_on
+from .invariants import (
+    berry_phase,
+    chern_flux,
+    chern_scan,
+    degree,
+    loop_frames,
+    w1_along,
+    w2_on,
+)
 from .locus import split_components
 from .model import TWO_PI, torus_delta
 from .surfaces import loop_clearance, sphere_around, tube_around, validate
@@ -296,11 +304,12 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
             validate(tube, model)
             entry.surface_id = tube.surface_id
             meridian = tube.meridian(0, n=max(n_v, DEFAULT_LOOP_POINTS))
-            bp = berry_phase(model, meridian)
+            frames = loop_frames(model, meridian)  # one gap check for both charges
+            bp = berry_phase(model, meridian, frames=frames)
             entry.berry_phase = bp.phase
             entry.berry_residual = bp.quantization_residual
             if model.reality:
-                entry.berry_w1 = w1_along(model, meridian)
+                entry.berry_w1 = w1_along(model, meridian, frames=frames)
                 if model.band_count > 2 and comp.gap_index == model.occupied_count:
                     try:
                         res = w2_on(model, tube, keep_spectrum=True)

@@ -87,6 +87,8 @@ class TestExitCodes:
         (["cohomology", "--fixture", "none", "--resolution", "3"], 64),
         (["cohomology", "--fixture", "loop", "--resolution", "-3"], 64),
         (["cohomology", "--fixture", "point", "--resolution", "0"], 64),
+        (["cohomology", "--fixture", "point", "--resolution", "8", "--tube-voxels=0"], 64),
+        (["cohomology", "--fixture", "loop", "--resolution", "5"], 64),
     ])
     def test_module_exit_status(self, tmp_path, argv, code):
         src = os.path.dirname(os.path.dirname(bt.__file__))
@@ -380,6 +382,23 @@ class TestCohomologyCmd:
                     "--out", str(tmp_path)])
         assert code == 64
         assert "argument --resolution" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "-5"])
+    def test_tube_voxels_below_one_exit_64(self, tmp_path, capsys, radius):
+        code = run(["cohomology", "--fixture", "point", "--resolution", "8",
+                    f"--tube-voxels={radius}", "--out", str(tmp_path)])
+        assert code == 64
+        assert "argument --tube-voxels" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("radius", ["1", "2"])
+    @pytest.mark.parametrize("resolution", ["4", "5", "6", "7"])
+    def test_loop_fixture_below_eight_exit_64(self, tmp_path, capsys, resolution, radius):
+        code = run(["cohomology", "--fixture", "loop", "--resolution", resolution,
+                    "--tube-voxels", radius, "--out", str(tmp_path)])
+        assert code == 64
+        assert "--resolution >= 8" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_snf_resolution_removed(self, tmp_path, capsys):

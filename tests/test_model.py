@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import bandtopo as bt
-from bandtopo.exceptions import ConfigError, DomainError
+from bandtopo.exceptions import ConfigError, DomainError, MeshResolutionError, SurfaceError
+from bandtopo.invariants import frames_at
 from bandtopo.model import (
     TORUS,
     BlochModel,
@@ -265,3 +267,265 @@ class TestConfig:
         m = gapped_model()
         k = random_k(200)
         assert np.min(m.direct_gap(k)) > 1.9
+
+
+# -- two-band closed form ------------------------------------------------------
+
+
+def identity_term_model():
+    """weyl-lattice(m=2) plus an I term, from a config."""
+    def spec(*entries):
+        return [{"kind": kind, "harmonic": list(n), "amplitude": a} for kind, n, a in entries]
+
+    return model_from_config({
+        "name": "weyl-with-identity",
+        "band_count": 2,
+        "occupied_count": 1,
+        "reality": False,
+        "domain": {"type": "torus"},
+        "terms": [
+            {"pauli": "I", "coeff": spec(("cos", (1, 1, 0), 0.7), ("sin", (0, 0, 1), 0.4))},
+            {"pauli": "X", "coeff": spec(("sin", (1, 0, 0), 1.0))},
+            {"pauli": "Y", "coeff": spec(("sin", (0, 1, 0), 1.0))},
+            {"pauli": "Z", "coeff": spec(
+                ("cos", (1, 0, 0), 1.0), ("cos", (0, 1, 0), 1.0),
+                ("cos", (0, 0, 1), 1.0), ("cos", (0, 0, 0), -2.0),
+            )},
+        ],
+    })
+
+
+def mixed_term_model():
+    """A real model whose term matrices mix I, X and Z."""
+    a = CoefficientSpec([("cos", (1, 0, 0), 1.0), ("cos", (0, 1, 0), 1.0),
+                         ("cos", (0, 0, 1), 1.0), ("cos", (0, 0, 0), -2.0)])
+    b = CoefficientSpec([("sin", (0, 0, 1), 1.0), ("cos", (1, 0, 1), 0.2)])
+    terms = ((a, 0.3 * pauli_word("I") + 0.8 * pauli_word("X")),
+             (b, 0.6 * pauli_word("Z") - 0.1 * pauli_word("I")))
+    return BlochModel("mixed", 2, 1, True, TORUS, terms)
+
+
+CLOSED_FORM_MODELS = {
+    "weyl-lattice-2": lambda: bt.builtin("weyl-lattice", m=2),
+    "weyl-lattice-1.7": lambda: bt.builtin("weyl-lattice", m=1.7),
+    "nodal-loop-real-2": lambda: bt.builtin("nodal-loop-real", m=2),
+    **{f"random-{s}": (lambda s=s: random_two_band(s)) for s in range(6)},
+    "identity-term": identity_term_model,
+    "mixed-terms": mixed_term_model,
+}
+
+
+def pauli_parts(model, k):
+    """(h0, h) of a two-band H(k) by traces with the Paulis, from the matrix."""
+    h = model.hamiltonian(k)
+    coeff = [np.trace(h @ pauli_word(p), axis1=-2, axis2=-1).real / 2 for p in "IXYZ"]
+    return coeff[0], np.stack(coeff[1:], axis=-1)
+
+
+def points_across_hz_zero(model, n=40):
+    """Pairs of k-points on either side of hz = 0: up to two pairs on each
+    of n random kz-lines, bisected to within 1e-12 in kz."""
+    rng = np.random.default_rng(7)
+    kz = np.linspace(-math.pi, math.pi, 65) + 0.01  # no grid point on a TRIM plane
+    out = []
+    for kx, ky in rng.uniform(-math.pi, math.pi, size=(n, 2)):
+        line = np.column_stack([np.full_like(kz, kx), np.full_like(kz, ky), kz])
+        hz = pauli_parts(model, line)[1][:, 2]
+        for j in np.flatnonzero(np.sign(hz[:-1]) * np.sign(hz[1:]) < 0)[:2]:
+            lo, hi = line[j].copy(), line[j + 1].copy()
+            sign_lo = np.sign(hz[j])
+            while hi[2] - lo[2] > 1e-12:
+                mid = 0.5 * (lo + hi)
+                if np.sign(pauli_parts(model, mid)[1][2]) == sign_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            out.extend([lo, hi])
+    return np.array(out)
+
+
+class TestClosedFormTwoBand:
+    """Two-band spectra and frames come from the Pauli projection in closed
+    form; LAPACK on the assembled H(k) is the reference."""
+
+    @pytest.fixture(params=sorted(CLOSED_FORM_MODELS), scope="class")
+    def model(self, request):
+        return CLOSED_FORM_MODELS[request.param]()
+
+    @pytest.fixture(scope="class")
+    def points(self, model):
+        return np.vstack([random_k(400), points_across_hz_zero(model)])
+
+    def test_projection_is_cached(self, model, points):
+        fld = model.two_band_field
+        assert fld is model.two_band_field
+        assert np.max(np.abs(fld(points) - pauli_parts(model, points)[1])) <= 1e-14
+
+    def test_eigenvalues_match_lapack(self, model, points):
+        ev = model.spectrum(points)
+        ref = np.linalg.eigvalsh(model.hamiltonian(points))
+        scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+        assert ev.shape == ref.shape
+        assert np.all(np.abs(ev - ref) <= 1e-13 * scale)
+        assert np.array_equal(model.eigenframes(points)[0], ev)
+
+    def test_gap_is_twice_field_norm(self, model, points):
+        gap = model.direct_gap(points)
+        norm = model.two_band_field.norm(points)
+        h0 = pauli_parts(model, points)[0]
+        if not np.any(h0):
+            assert np.array_equal(gap, 2 * norm)
+        assert np.max(np.abs(gap - 2 * norm)) <= 1e-15 * (1 + np.max(np.abs(h0)))
+
+    def test_frames_match_lapack(self, model, points):
+        hz = pauli_parts(model, points)[1][:, 2]
+        _, vecs = np.linalg.eigh(model.hamiltonian(points))
+        keep = model.direct_gap(points) > 0.02
+        near = keep & (np.abs(hz) < 1e-9)  # both branches, at their seam
+        assert np.any(near & (hz > 0)) and np.any(near & (hz < 0))
+        for occ in (1, 2):
+            _, frames = model.eigenframes(points, occupied=occ)
+            assert frames.shape == (len(points), 2, occ)
+            overlap = np.abs(np.sum(np.conj(frames) * vecs[..., :occ], axis=-2))
+            assert np.max(np.abs(overlap[keep] - 1.0)) <= 1e-12
+        frames = model.eigenframes(points, occupied=2)[1]
+        eye = np.conj(np.swapaxes(frames, -1, -2)) @ frames
+        assert np.max(np.abs(eye - np.eye(2))) <= 1e-14
+
+    def test_frames_real_for_real_models(self, model, points):
+        _, frames = model.eigenframes(points)
+        assert np.iscomplexobj(frames) == (not model.reality)
+        assert np.iscomplexobj(frames_at(model, points)) == (not model.reality)
+
+    def test_single_point_shapes(self, model):
+        k = RNG.uniform(-math.pi, math.pi, size=3)
+        ev, frames = model.eigenframes(k)
+        assert ev.shape == (2,) and frames.shape == (2, 1)
+        assert model.spectrum(k).shape == (2,)
+        assert np.ndim(model.direct_gap(k)) == 0
+
+
+class TestClosedFormNodes:
+    @pytest.mark.parametrize("reality", [False, True])
+    def test_unit_column_at_exact_node(self, reality):
+        comps = [CoefficientSpec([("sin", (1, 0, 0), 1.0)]),
+                 CoefficientSpec([] if reality else [("sin", (0, 1, 0), 1.0)]),
+                 CoefficientSpec([("sin", (0, 0, 1), 1.0)])]
+        model = model_from_field("sines", TwoBandField(comps), reality=reality)
+        k = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.0], [0.0, 0.0, -0.4]])
+        assert np.all(model.two_band_field(k[0]) == 0.0)
+        ev, frames = model.eigenframes(k)
+        assert np.array_equal(ev[0], [0.0, 0.0])
+        assert np.all(np.isfinite(frames))
+        assert np.allclose(np.linalg.norm(frames, axis=-2), 1.0, atol=1e-15)
+        # the node takes the first column of the identity, as LAPACK does for H = 0
+        assert np.array_equal(frames[0], [[1.0], [0.0]])
+        full = model.eigenframes(k[0], occupied=2)[1]
+        assert np.array_equal(full, np.eye(2))
+        assert np.allclose(np.linalg.norm(frames_at(model, k), axis=-2), 1.0, atol=1e-15)
+
+    def test_weyl_node_frame_is_unit(self, weyl2):
+        # h = (0, 0, cos(pi/2)): a node up to rounding
+        ev, frames = weyl2.eigenframes([0.0, 0.0, math.pi / 2])
+        assert np.max(np.abs(ev)) < 1e-15
+        assert abs(np.linalg.norm(frames) - 1.0) < 1e-15
+
+
+def lapack_spectrum(self, k):
+    return np.linalg.eigvalsh(self.hamiltonian(k))
+
+
+def lapack_eigenframes(self, k, occupied=None):
+    occ = self.occupied_count if occupied is None else int(occupied)
+    energies, vectors = np.linalg.eigh(self.hamiltonian(k))
+    return energies, vectors[..., :, :occ]
+
+
+TRIM = list(itertools.product((0.0, math.pi), repeat=3))
+WEYL_SEEDS = {
+    "weyl-lattice-2": [(0.0, 0.0, math.pi / 2), (0.0, 0.0, -math.pi / 2)],
+    "weyl-lattice-1.7": [(0.0, 0.0, math.acos(-0.3)), (0.0, 0.0, -math.acos(-0.3))],
+    "identity-term": [(0.0, 0.0, math.pi / 2), (0.0, 0.0, -math.pi / 2)],
+    **{f"random-{s}": TRIM for s in range(6)},  # one zero near each TRIM point
+}
+
+
+class TestClosedFormCharges:
+    """The charges equal those of LAPACK frames, up to the last few bits."""
+
+    def charges(self, model, surfaces):
+        row = []
+        for surf in surfaces:
+            surf.min_gap_on_surface = None
+            try:
+                flux = bt.chern_flux(model, surf)
+            except (MeshResolutionError, SurfaceError) as exc:
+                row.append(type(exc).__name__)
+                continue
+            deg = bt.degree(model.two_band_field, surf)
+            row.append((flux.value, flux.residual, deg.value, deg.residual,
+                        surf.min_gap_on_surface))
+        return row
+
+    @pytest.mark.parametrize("name", sorted(WEYL_SEEDS))
+    def test_chern_flux_and_degree_unchanged(self, monkeypatch, name):
+        model = CLOSED_FORM_MODELS[name]()
+        points = [bt.refine_point(model, seed).position for seed in WEYL_SEEDS[name]]
+        surfaces = [bt.slice_torus("z", 0.9, 32, 32), bt.slice_torus("x", 1.0, 32, 32)]
+        surfaces += [bt.sphere_around(p, 0.3, 24, 24) for p in points]
+        new = self.charges(model, surfaces)
+        monkeypatch.setattr(BlochModel, "spectrum", lapack_spectrum)
+        monkeypatch.setattr(BlochModel, "eigenframes", lapack_eigenframes)
+        old = self.charges(model, surfaces)
+        assert sum(isinstance(a, tuple) for a in new) >= 4
+        for a, b in zip(new, old):
+            if isinstance(a, str):
+                assert a == b
+                continue
+            assert a[0] == b[0] and a[2:4] == b[2:4]
+            assert abs(a[1] - b[1]) <= 1e-12 and abs(a[4] - b[4]) <= 1e-12
+        assert sum(a[0] for a in new[2:]) == 0  # chiralities cancel on T^3
+
+    def test_berry_phase_unchanged(self, monkeypatch, nodal_loop2, nodal_loop2_locus):
+        mer = bt.tube_around(nodal_loop2_locus.loops[0], 0.15, 16, 200).meridian(0)
+        far = bt.circle_loop([math.pi, math.pi, math.pi], 0.5, [0.0, 0.0, 1.0])
+        loops = (mer, mer.reversed(), far)
+
+        def charges():
+            out = []
+            for lp in loops:
+                bp = bt.berry_phase(nodal_loop2, lp)
+                out.append((bp.phase, bp.quantized, bp.quantization_residual,
+                            bt.w1_along(nodal_loop2, lp)))
+            return out
+
+        new = charges()
+        monkeypatch.setattr(BlochModel, "spectrum", lapack_spectrum)
+        monkeypatch.setattr(BlochModel, "eigenframes", lapack_eigenframes)
+        old = charges()
+        assert [a[3] for a in new] == [1, 1, 0]
+        for a, b in zip(new, old):
+            assert a[1] == b[1] and a[3] == b[3]
+            assert abs(a[0] - b[0]) <= 1e-12 and abs(a[2] - b[2]) <= 1e-12
+
+
+class TestNoEigensolverForTwoBand:
+    def test_two_band_paths_never_call_lapack(self, monkeypatch, weyl2, nodal_loop2):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK eigensolver called on a two-band model")
+
+        k = random_k(64)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for model in (weyl2, nodal_loop2, identity_term_model()):
+            model.spectrum(k)
+            model.direct_gap(k)
+            model.eigenframes(k)
+            model.eigenframes(k[0], occupied=2)
+        sphere = bt.sphere_around([0, 0, math.pi / 2], 0.3, 24, 24)
+        assert sphere.min_gap_on_surface is None  # chern_flux validates it here
+        assert bt.chern_flux(weyl2, sphere).value == -1
+        # multiband models keep the eigensolver
+        four = bt.builtin("four-band-linked-lattice", m=1)
+        with pytest.raises(AssertionError, match="LAPACK"):
+            four.spectrum(k)

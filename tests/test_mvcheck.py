@@ -114,6 +114,33 @@ class TestAssembleLedger:
         assert entry.berry_w1 == 1
         assert entry.w2 is None  # two-band model carries no monopole charge
 
+    @pytest.mark.parametrize("name", ["nodal_loop2", "four_band_lattice"])
+    def test_one_gap_check_and_frames_per_meridian(self, monkeypatch, request, name):
+        from bandtopo import invariants
+
+        model = request.getfixturevalue(name)
+        locus = request.getfixturevalue(f"{name}_locus")
+        checked, framed = [], []
+        check, frames_at = invariants._check_loop_gap, invariants.frames_at
+
+        def counted_check(model, loop, min_gap):
+            checked.append(np.asarray(loop.vertices))
+            return check(model, loop, min_gap)
+
+        def counted_frames(model, points, occupied=None):
+            framed.append(np.asarray(points))
+            return frames_at(model, points, occupied=occupied)
+
+        monkeypatch.setattr(invariants, "_check_loop_gap", counted_check)
+        monkeypatch.setattr(invariants, "frames_at", counted_frames)
+        ledger = bt.assemble_ledger(model, locus, mesh=(32, 32))
+        loops = [e for e in ledger.entries if e.kind == "loop"]
+        assert loops and all(e.berry_w1 is not None for e in loops)
+        assert len(checked) == len(loops)
+        for verts in checked:  # each meridian's frames are taken once
+            assert sum(f.shape == verts.shape and np.array_equal(f, verts)
+                       for f in framed) == 1
+
     def test_verify_ledger_verdicts(self, weyl2, weyl2_locus):
         ledger = bt.assemble_ledger(weyl2, weyl2_locus, mesh=(48, 48))
         verify_ledger(weyl2, ledger)
