@@ -5,10 +5,10 @@ thickened to cube tubes, and the torus is split into tube, complement, and
 shared boundary surface, all built with array ops.  Each complex is reduced
 first (``CellComplex.reduced``: unit-incidence cell pairs removed by spanning
 forests and exact elimination, which keeps integral homology) to a few
-cells; only then does cohomology run, over Q and Z2 by sparse field rank and
-over Z by Smith normal form of the reduced boundary matrices, which also
-yields torsion.  Dimension-level Mayer-Vietoris and universal-coefficient
-checks sit on top.
+cells; only then does cohomology run, over Q, Z2 and Z from the invariant
+factors of the reduced boundary matrices (the Z groups also carry the
+torsion).  Dimension-level Mayer-Vietoris and universal-coefficient checks
+sit on top.
 """
 
 from __future__ import annotations
@@ -203,10 +203,6 @@ class CohomologyGroups:
         if self.coefficients in ("Q", "Z2") and any(self.torsion):
             raise ComplexError("field cohomology cannot carry torsion")
 
-    @property
-    def betti(self):
-        return self.ranks
-
     def to_record(self):
         return {
             "coefficients": self.coefficients,
@@ -216,8 +212,8 @@ class CohomologyGroups:
 
 
 def cohomology_groups(cx, coefficients="Q"):
-    """Cohomology of a complex over Z (via SNF), Q, or Z2 (via field rank),
-    computed on its reduced form."""
+    """Cohomology of a complex over Z (via SNF), Q, or Z2 (via field rank,
+    read off the same invariant factors), computed on its reduced form."""
     red = cx.reduced
     n, b = red.n_cells, red.boundaries
     if coefficients in ("Q", "Z2"):

@@ -208,7 +208,7 @@ def refine_point(model, seed, gap_index=None, tol=POINT_TOL, max_iter=60):
     """
     g = model.occupied_count if gap_index is None else int(gap_index)
     k = np.array(as_k_array(seed), dtype=float)
-    field = model.two_band_field if model.band_count == 2 else None
+    field = model.two_band_field
 
     gap0 = _gap_value(model, k, g)
     if gap0 < tol:

@@ -412,7 +412,7 @@ def model_from_field(name, field, occupied_count=1, reality=None, domain=None):
     """Build the two-band model H = h . sigma from a TwoBandField."""
     domain = domain or field.domain
     if reality is None:
-        reality = all(len(field.components[1].entries) == 0 for _ in (0,))
+        reality = not field.components[1].entries
     terms = []
     for comp, letter in zip(field.components, "XYZ"):
         if comp.entries:

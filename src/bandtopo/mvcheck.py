@@ -223,32 +223,22 @@ DEFAULT_MESH = (64, 64)
 DEFAULT_LOOP_POINTS = 400
 
 
+def _sample_points(comp):
+    """The k-points that stand for a component: its position or vertices."""
+    if comp.kind == "point":
+        return np.asarray([comp.item.position])
+    return np.asarray(comp.item.vertices)
+
+
 def _component_min_separation(comp, others, torus):
-    own = (
-        np.asarray([comp.item.position])
-        if comp.kind == "point"
-        else np.asarray(comp.item.vertices)
-    )
+    own = _sample_points(comp)[:, None, :]
     best = math.inf
     for other in others:
         if other.id == comp.id:
             continue
-        pts = (
-            np.asarray([other.item.position])
-            if other.kind == "point"
-            else np.asarray(other.item.vertices)
-        )
-        if torus:
-            d = min(
-                float(np.linalg.norm(torus_delta(own[:, None, :], pts[None, :, :]), axis=-1).min()),
-                best,
-            )
-        else:
-            d = min(
-                float(np.linalg.norm(own[:, None, :] - pts[None, :, :], axis=-1).min()),
-                best,
-            )
-        best = d
+        pts = _sample_points(other)[None, :, :]
+        delta = torus_delta(own, pts) if torus else own - pts
+        best = min(float(np.linalg.norm(delta, axis=-1).min()), best)
     return best
 
 
@@ -292,11 +282,7 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
             sep = _component_min_separation(comp, comps, torus)
             clearance = min(loop_clearance(comp.item), sep)
             radius = tube_radius or min(DEFAULT_TUBE_RADIUS, clearance / 3.5)
-            others = [
-                c.item.vertices if c.kind != "point" else np.asarray([c.item.position])
-                for c in comps
-                if c.id != comp.id
-            ]
+            others = [_sample_points(c) for c in comps if c.id != comp.id]
             tube = tube_around(
                 comp.item, radius, n_u, n_v, other_components=others,
                 surface_id=f"tube({comp.id},r={radius:g})",
