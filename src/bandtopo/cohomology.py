@@ -68,7 +68,10 @@ class CellComplex:
         vertex with the tree edge to its parent, and one of the dual graph
         (cubes plus an outside node, joined by faces with one or two unit
         cofaces) pairs every tree face with its child cube.  Exact unit-pivot
-        elimination then removes the pairs that are left.  The result is
+        elimination then removes the pairs that are left, per boundary
+        matrix: array-op rounds take every free pair (a unit entry alone in
+        its row or column, so no other incidence changes), and a pivot heap
+        handles the few entries after them.  The result is
         checked like any complex (d o d = 0), and a changed Euler
         characteristic raises ComplexError.
         """
@@ -80,7 +83,7 @@ class CellComplex:
         lines, ends, coef = _unit_lines(d1.T)
         plain = (ends[:, 1] >= 0) & (coef[:, 0] == -coef[:, 1])
         labels, _, _, via = _spanning_forest(n0, ends[plain])
-        keep_e = np.setdiff1d(np.arange(d1.shape[1]), lines[plain][via])
+        keep_e = _kept(d1.shape[1], lines[plain][via])
         component_sum = sparse.csr_matrix(
             (np.ones(n0, dtype=np.int64), (labels, np.arange(n0))),
             shape=(labels.max(initial=-1) + 1, n0),
@@ -106,7 +109,7 @@ class CellComplex:
         root_chain = sparse.csr_matrix(
             (s[1:], (labels[1:], np.arange(n3))), shape=(len(roots), n3)
         )[closed]
-        keep_f = np.setdiff1d(np.arange(d3.shape[0]), lines[via])
+        keep_f = _kept(d3.shape[0], lines[via])
         b = {
             1: d1,
             2: d2[keep_e][:, keep_f].tocsc(),
@@ -115,11 +118,10 @@ class CellComplex:
 
         for d in (2, 1, 3):
             pivots, residual = eliminate_units(b[d])
-            if not pivots:
+            if not len(pivots):
                 continue
-            gone_r, gone_c = zip(*pivots)
-            keep_r = np.setdiff1d(np.arange(b[d].shape[0]), gone_r)
-            keep_c = np.setdiff1d(np.arange(b[d].shape[1]), gone_c)
+            keep_r = _kept(b[d].shape[0], pivots[:, 0])
+            keep_c = _kept(b[d].shape[1], pivots[:, 1])
             entries = [(r, c, v) for c, col in residual.items() for r, v in col.items()]
             r, c, v = np.array(entries, dtype=np.int64).reshape(-1, 3).T
             b[d] = sparse.csc_matrix(
@@ -137,6 +139,13 @@ class CellComplex:
                 f"reduction of {self.name} changed the Euler characteristic"
             )
         return red
+
+
+def _kept(n, gone):
+    """The indices 0..n-1 not in ``gone``, sorted."""
+    keep = np.ones(n, dtype=bool)
+    keep[gone] = False
+    return np.flatnonzero(keep)
 
 
 def _unit_lines(m):
@@ -284,7 +293,9 @@ def _closure(parent, top, ids):
     of the ``top``-cells ``ids`` (sorted) in ``parent``."""
     cells = [np.asarray(ids, dtype=np.int64)]
     for d in range(top, 0, -1):
-        cells.insert(0, np.unique(parent.boundaries[d].tocsc()[:, cells[0]].indices))
+        faces = np.zeros(parent.n_cells[d - 1], dtype=bool)
+        faces[parent.boundaries[d].tocsc()[:, cells[0]].indices] = True
+        cells.insert(0, np.flatnonzero(faces))
     return cells
 
 
@@ -440,7 +451,7 @@ def complement_complex(resolution, locus, tube_voxels=2, total=None):
     comp_cells = _closure(parent, 3, np.flatnonzero(~tube))
     bnd_cells = _closure(parent, 2, shared_faces)
     if not all(
-        np.array_equal(np.intersect1d(a, b), c)
+        np.array_equal(np.intersect1d(a, b, assume_unique=True), c)
         for a, b, c in zip(tube_cells, comp_cells, bnd_cells)
     ):
         raise ComplexError(

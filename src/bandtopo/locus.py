@@ -349,13 +349,13 @@ def _correct_to_curve(model, k, tangent, gap_index, tol, fd, max_iter=40):
             if norm > 4 * fd:
                 step = step * (4 * fd / norm)
             k = k + step
-        if _gap_value(model, k, gap_index) < tol:
-            return k, total_it
+        else:
+            # out of steps; a break leaves k where the gap was just >= tol
+            gap = _gap_value(model, k, gap_index)
+            if gap < tol:
+                return k, total_it
         # the plane missed the curve: re-aim with a fresh tangent estimate
         tangent, _ = _gap_tangent(model, k, gap_index, fd)
-    gap = _gap_value(model, k, gap_index)
-    if gap < tol:
-        return k, total_it
     raise RefinementError(
         f"curve corrector stalled at gap {gap:.3e}", residual=gap, position=k
     )

@@ -3,10 +3,13 @@
 Cubical complexes are reduced first (``CellComplex.reduced``): exact
 elimination of +-1 pivots (``eliminate_units``) keeps integral homology and
 leaves a few cells, and only then do ranks and Smith normal forms run.
-There is one factorization: ``eliminate_units`` removes the unit pivots and
-sympy's arbitrary-precision invariant-factor routine finishes the (small)
-residual block, so coefficient growth can never overflow.  The Smith form
-over Z and the ranks over Q and Z2 are all read off its invariant factors.
+There is one factorization.  ``eliminate_units`` first takes the free unit
+pivots, those alone in their row or column, in array-op rounds on the COO
+entries; a lazy pivot heap then eliminates the unit pivots among the few
+entries left, and sympy's arbitrary-precision invariant-factor routine
+finishes the (small) residual block, so coefficient growth can never
+overflow.  The Smith form over Z and the ranks over Q and Z2 are all read
+off its invariant factors.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def smith_normal_form(mat):
 def _invariant_factors(mat):
     """Nonzero invariant factors of an integer matrix, in divisibility order.
 
-    ``eliminate_units`` removes every +-1 pivot first; the residual block,
+    ``eliminate_units`` removes the +-1 pivots first; the residual block,
     if any, goes through sympy's arbitrary-precision invariant-factor
     routine (imported only then).
     """
@@ -90,33 +93,43 @@ def _invariant_factors(mat):
 
 
 def eliminate_units(mat):
-    """Exact elimination of every +-1 pivot of an integer matrix.
+    """Exact elimination of the +-1 pivots of an integer matrix.
 
     Pivoting on entry (r, c) subtracts ``mat[r, k] * mat[r, c]`` times
     column c from every other column k that meets row r (a unit is its own
     inverse), then drops row r and column c: the Schur complement, which
-    keeps the invariant factors.  Pivots leave a lazy heap in Markowitz
-    order, cost (row length - 1) * (column length - 1), so free pairs
-    (cost 0) go first.  Only entries whose value changed are pushed again;
-    a popped entry whose cost has grown goes back at its new cost.
+    keeps the invariant factors.
 
-    Returns ``(pivots, residual)``: the (row, column) pivots in order, and
-    the residual block on the other rows and columns as dict columns
-    ``{col: {row: value}}`` of Python ints, which cannot overflow.
+    Free pivots come first, in array-op rounds on the live entries: a +-1
+    entry alone in its row or its column costs nothing, as the Schur
+    complement is then just the matrix without row r and column c.  Free
+    pivots on distinct rows and columns stay free whatever the order, so
+    each round takes one per row and column of all of them at once.  The
+    few entries left go into a lazy pivot heap keyed by the Markowitz cost
+    (row length - 1) * (column length - 1).  Only entries whose value
+    changed are pushed again, and a popped entry whose cost has grown goes
+    back at its new cost; an entry whose cost fell is not re-pushed, so the
+    order is only roughly Markowitz.
+
+    Returns ``(pivots, residual)``: the (row, column) pivots in order, a
+    (k, 2) integer array, and the residual block on the other rows and
+    columns as dict columns ``{col: {row: value}}`` of Python ints, which
+    cannot overflow.
     """
     m = _to_csc(mat)
+    m.sum_duplicates()  # repeated entries add up
+    col_of = np.repeat(np.arange(m.shape[1], dtype=np.int64), np.diff(m.indptr))
+    live = m.data != 0
+    free, left = _free_pivots(
+        m.indices[live].astype(np.int64), col_of[live], m.data[live].astype(np.int64)
+    )
+
+    # the entries left keep the column-major order of the CSC input
     cols = {}
     rows = defaultdict(set)
-    indices, data = m.indices.tolist(), m.data.tolist()
-    for j in range(m.shape[1]):
-        col = {}
-        for t in range(m.indptr[j], m.indptr[j + 1]):
-            v = int(data[t])
-            if v:
-                col[indices[t]] = v
-                rows[indices[t]].add(j)
-        if col:
-            cols[j] = col
+    for r, c, v in zip(*(a.tolist() for a in left)):
+        cols.setdefault(c, {})[r] = v
+        rows[r].add(c)
 
     def cost(r, c):
         return (len(rows[r]) - 1) * (len(cols[c]) - 1)
@@ -157,5 +170,31 @@ def eliminate_units(mat):
                 del cols[k]
             for r2 in changed:
                 heapq.heappush(heap, (cost(r2, k), r2, k))
-    return pivots, cols
+    return np.concatenate([free, np.array(pivots, dtype=np.int64).reshape(-1, 2)]), cols
+
+
+def _free_pivots(r, c, v):
+    """Take free unit pivots off COO entries ``(r, c, v)``, round by round.
+
+    Each round counts the live entries per row and column, takes the +-1
+    entries alone in their row or column, keeps one per row and then one
+    per column, and drops the rows and columns they use.  Returns the
+    pivots, a (k, 2) array in order, and the live entries left.
+    """
+    rounds = [np.zeros((0, 2), dtype=np.int64)]
+    while len(v):
+        free = (np.abs(v) == 1) & ((np.bincount(r)[r] == 1) | (np.bincount(c)[c] == 1))
+        if not free.any():
+            break
+        pr, pc = r[free], c[free]
+        one = np.unique(pr, return_index=True)[1]
+        one = one[np.unique(pc[one], return_index=True)[1]]
+        pr, pc = pr[one], pc[one]
+        rounds.append(np.stack([pr, pc], axis=1))
+        dead_r = np.zeros(r.max() + 1, dtype=bool)
+        dead_c = np.zeros(c.max() + 1, dtype=bool)
+        dead_r[pr] = dead_c[pc] = True
+        live = ~(dead_r[r] | dead_c[c])
+        r, c, v = r[live], c[live], v[live]
+    return np.concatenate(rounds), (r, c, v)
 

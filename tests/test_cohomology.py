@@ -6,7 +6,13 @@ from scipy import sparse
 import bandtopo as bt
 from bandtopo import cohomology
 from bandtopo.exceptions import ComplexError
-from bandtopo.smith import rank_field, smith_normal_form
+from bandtopo.smith import (
+    _free_pivots,
+    _invariant_factors,
+    eliminate_units,
+    rank_field,
+    smith_normal_form,
+)
 
 from conftest import reference_decomposition_cells, reference_torus_boundaries
 
@@ -359,9 +365,11 @@ class TestReduction:
             "Z2": (1, 3, 3, 1),
             "Z": ((1, 2, 1, 0), ((), (), (2,), (2,))),
         }
-        # the kept cube bounds twice a face: the one non-zero root-cube column
+        # the kept cube bounds twice a face: the one root-cube column is
+        # non-zero with invariant factor 2, in whatever basis it is kept
         top = klein_s1.reduced.boundaries[3]
-        assert top.shape[1] == 1 and sorted(abs(top.data[top.data != 0])) == [2]
+        assert top.shape[1] == 1 and np.any(top.data != 0)
+        assert smith_normal_form(top).factors == (2,)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_cube_subsets(self, seed):
@@ -422,6 +430,81 @@ class TestReduction:
             assert bt.uct_check(cx).passed
         assert len(widths) == 2 * 4 * 3 + 4 * 6
         assert max(widths) <= 16
+
+
+def sympy_factors(mat):
+    """Oracle: nonzero invariant factors from sympy on the dense matrix."""
+    from sympy.matrices.normalforms import invariant_factors
+
+    dense = sympy.Matrix(sparse.csc_matrix(mat).toarray().tolist())
+    return [abs(int(d)) for d in invariant_factors(dense, domain=sympy.ZZ) if d]
+
+
+def free_rounds(mat):
+    """The free pivots and the entries the rounds leave, on the nonzeros."""
+    coo = sparse.coo_matrix(mat)
+    live = coo.data != 0
+    return _free_pivots(coo.row[live], coo.col[live], coo.data[live])
+
+
+def assert_distinct(pivots):
+    assert pivots.shape == (len(pivots), 2)
+    assert len(set(pivots[:, 0].tolist())) == len(set(pivots[:, 1].tolist())) == len(pivots)
+
+
+class TestEliminateUnits:
+    """Free-pivot rounds, then the pivot heap, keep the invariant factors."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = rng.integers(1, 13, size=2)
+        nnz = rng.integers(0, n_rows * n_cols + 1)
+        where = rng.choice(n_rows * n_cols, size=nnz, replace=False)
+        # stored zeros among the entries are not entries of the matrix
+        mat = sparse.csc_matrix(
+            (rng.integers(-2, 3, size=nnz), np.divmod(where, n_cols)),
+            shape=(n_rows, n_cols), dtype=np.int64,
+        )
+        pivots, residual = eliminate_units(mat)
+        assert_distinct(pivots)
+        assert _invariant_factors(mat) == sympy_factors(mat)
+
+    def test_repeated_entries_add_up(self):
+        # a CSC matrix built from raw arrays may store (0, 0) twice: 1 + 1 = 2
+        mat = sparse.csc_matrix(
+            (np.array([1, 1, 1]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
+        )
+        assert _invariant_factors(mat) == sympy_factors(mat) == [1, 2]
+
+    def test_heap_finishes_what_rounds_cannot(self):
+        # a +-1 Hadamard block has no entry alone in its row or column, so
+        # every pivot in it comes off the heap; the path beside it is free
+        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        path = np.eye(3, dtype=np.int64) - np.eye(3, k=1, dtype=np.int64)
+        mat = sparse.block_diag([hadamard, path], format="csc", dtype=np.int64)
+        free, _ = free_rounds(mat)
+        pivots, residual = eliminate_units(mat)
+        assert len(free) == 3 and len(pivots) > len(free)
+        assert_distinct(pivots)
+        assert _invariant_factors(mat) == sympy_factors(mat) == [1, 1, 1, 1, 2, 2, 4]
+
+    def test_torus_middle_block(self, monkeypatch):
+        calls = []
+
+        def recording(mat):
+            out = eliminate_units(mat)
+            calls.append((mat, *out))
+            return out
+
+        monkeypatch.setattr(cohomology, "eliminate_units", recording)
+        assert bt.torus_complex(8).reduced.n_cells == (1, 3, 3, 1)
+        mat, pivots, residual = calls[0]  # d = 2, after the spanning forests
+        free, left = free_rounds(mat)
+        assert residual == {} and len(pivots) == mat.shape[0] - 3 == mat.shape[1] - 3
+        assert len(free) > 0.9 * len(pivots) and len(left[0]) < 0.1 * mat.nnz
+        assert_distinct(pivots)
+        assert np.linalg.matrix_rank(mat.toarray().astype(float)) == len(pivots)
 
 
 class TestArrayBuilders:
