@@ -67,7 +67,7 @@ def _add_common(p):
     p.add_argument("--config", help="model config file (JSON)")
     p.add_argument("--grid", type=_grid_size, default=48, help="scan resolution per axis")
     p.add_argument("--mesh", default="64x64", metavar="NxM", help="surface mesh size")
-    p.add_argument("--tube-radius", type=float, default=None)
+    p.add_argument("--tube-radius", type=_positive_radius, default=None)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--json", action="store_true", help="print the JSON report")
 
@@ -114,6 +114,14 @@ def _complex_resolution(text):
 def _tube_voxel_radius(text):
     """``cohomology --tube-voxels`` type: an integer tube radius of at least 1."""
     return _int_at_least(text, 1, "tube radius in voxels")
+
+
+def _positive_radius(text):
+    """``--tube-radius`` type: a finite radius above 0."""
+    r = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(r) and r > 0):
+        raise argparse.ArgumentTypeError(f"tube radius must be finite and above 0, got {text}")
+    return r
 
 
 def _slice_values(text):

@@ -9,6 +9,10 @@ cells; only then does cohomology run, over Q, Z2 and Z from the invariant
 factors of the reduced boundary matrices (the Z groups also carry the
 torsion).  Dimension-level Mayer-Vietoris and universal-coefficient checks
 sit on top.
+
+``scipy.sparse`` is imported inside the functions that build or reduce
+sparse matrices, so importing this module (and with it the ``bandtopo``
+CLI) loads numpy only; scipy loads with the first complex.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .exceptions import ComplexError
 from .smith import eliminate_units, rank_field, smith_normal_form
@@ -75,6 +78,8 @@ class CellComplex:
         checked like any complex (d o d = 0), and a changed Euler
         characteristic raises ComplexError.
         """
+        from scipy import sparse
+
         d1, d2, d3 = (self.boundaries[d].tocsc() for d in (1, 2, 3))
         n0, n3 = self.n_cells[0], self.n_cells[3]
 
@@ -177,6 +182,7 @@ def _spanning_forest(n_nodes, ends):
     non-root nodes with every parent before its children, their parents,
     and the row of ``ends`` that joins each to its parent.
     """
+    from scipy import sparse
     from scipy.sparse import csgraph
 
     lo, hi = np.sort(ends, axis=1).T
@@ -244,6 +250,8 @@ def cohomology_groups(cx, coefficients="Q"):
 def _assemble(shape, terms):
     """Integer CSC matrix from ``(rows, cols, values)`` terms of index arrays
     and a value or value array; repeated entries add up."""
+    from scipy import sparse
+
     rows, cols, vals = zip(*terms)
     vals = [np.broadcast_to(v, np.shape(r)) for r, v in zip(rows, vals)]
     return sparse.csc_matrix(
@@ -494,6 +502,8 @@ def klein_complex(resolution=8):
     Vertex (x, y) is x n + y, with edges 2v (along x) and 2v + 1 (along y);
     crossing the top row glues with the orientation-reversing flip x -> -x.
     """
+    from scipy import sparse
+
     n = int(resolution)
     if n < 2:
         raise ComplexError("klein complex needs resolution >= 2")

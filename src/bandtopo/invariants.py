@@ -58,7 +58,7 @@ def _polar_unitary(m):
         s = np.abs(m)
     else:
         u, s, vh = np.linalg.svd(m)
-    if np.min(s) < 1e-8:
+    if not np.min(s) >= 1e-8:  # a NaN counts as singular
         raise MeshResolutionError(
             "overlap matrix nearly singular: mesh too coarse or surface too "
             "close to the nodal set",
@@ -304,6 +304,8 @@ def _check_loop_gap(model, loop, min_gap):
     if model.domain.is_torus:
         pts = reduce_torus(pts)
     gap = float(np.min(model.direct_gap(pts)))
+    if not math.isfinite(gap):  # NaN would pass every gap floor
+        raise SurfaceError(f"non-finite gap {gap} along loop {loop.label or '<loop>'}")
     if gap <= min_gap:
         raise SurfaceError(
             f"gap collapses to {gap:.3e} along loop {loop.label or '<loop>'}"

@@ -9,6 +9,10 @@ The scan takes one spectrum of the grid (in blocks) for all gaps.  Each
 finite-difference stencil (tangent Hessian, corrector, slope probes, Newton
 Jacobian) is one batched evaluation with pointwise arithmetic, so results
 are bitwise those of one eigensolve per point.
+
+``scipy.optimize`` is imported inside ``_minimize_gap``, the multiband
+Nelder-Mead refinement, and nowhere else: most runs never reach it, and its
+import alone takes longer than a small report.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exceptions import LocusAmbiguityError, RefinementError
 from .model import TWO_PI, as_k_array, reduce_torus, torus_delta
@@ -261,6 +264,8 @@ def _newton_on_field(field, k, htol, max_iter):
 
 
 def _minimize_gap(model, k, gap_index, tol, max_iter):
+    from scipy.optimize import minimize
+
     def q(x):
         return _gap_value(model, x, gap_index) ** 2
 
@@ -365,10 +370,18 @@ def _normal_basis(tangent):
     t = tangent / np.linalg.norm(tangent)
     ref = np.zeros(3)
     ref[int(np.argmin(np.abs(t)))] = 1.0
-    u = np.cross(t, ref)
+    u = _cross(t, ref)
     u /= np.linalg.norm(u)
-    v = np.cross(t, u)
+    v = _cross(t, u)
     return u, v
+
+
+def _cross(a, b):
+    """``np.cross`` of two 3-vectors in float arithmetic, in its operation
+    order (so bitwise equal), without its per-call overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _march_curve(model, start, gap_index, step, tol, torus, box_extent):

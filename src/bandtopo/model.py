@@ -84,6 +84,8 @@ class Domain:
         return inside
 
     def check(self, k):
+        if self.is_torus:
+            return
         if not np.all(self.contains(k)):
             raise DomainError(
                 f"k-point outside continuum box [-{self.extent}, {self.extent}]^3"

@@ -261,7 +261,9 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
         if comp.kind == "point":
             entry.position = [float(x) for x in comp.item.position]
             sep = _component_min_separation(comp, comps, torus)
-            radius = sphere_radius or min(DEFAULT_SPHERE_RADIUS, sep / 3.0)
+            radius = sphere_radius
+            if radius is None:
+                radius = min(DEFAULT_SPHERE_RADIUS, sep / 3.0)
             sphere = sphere_around(
                 comp.item.position, radius, n_u, n_v, domain=model.domain,
                 surface_id=f"sphere({comp.id},r={radius:g})",
@@ -281,7 +283,9 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
         elif comp.kind == "loop":
             sep = _component_min_separation(comp, comps, torus)
             clearance = min(loop_clearance(comp.item), sep)
-            radius = tube_radius or min(DEFAULT_TUBE_RADIUS, clearance / 3.5)
+            radius = tube_radius
+            if radius is None:
+                radius = min(DEFAULT_TUBE_RADIUS, clearance / 3.5)
             others = [_sample_points(c) for c in comps if c.id != comp.id]
             tube = tube_around(
                 comp.item, radius, n_u, n_v, other_components=others,

@@ -10,6 +10,10 @@ entries left, and sympy's arbitrary-precision invariant-factor routine
 finishes the (small) residual block, so coefficient growth can never
 overflow.  The Smith form over Z and the ranks over Q and Z2 are all read
 off its invariant factors.
+
+``scipy.sparse`` is imported in ``_to_csc`` and sympy in
+``_invariant_factors``, where they run, so importing ``bandtopo`` loads
+neither.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 
 def _to_csc(mat):
+    from scipy import sparse
+
     if sparse.issparse(mat):
         return mat.tocsc()
     arr = np.asarray(mat)

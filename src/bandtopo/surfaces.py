@@ -222,6 +222,8 @@ def sphere_around(center, radius, n_u=64, n_v=64, domain=None, surface_id=None):
     """
     _check_mesh(n_u, n_v)
     center = as_k_array(center)
+    if not math.isfinite(radius):
+        raise SurfaceError(f"sphere radius must be finite, got {radius}")
     if radius <= 0:
         raise SurfaceError("sphere radius must be positive")
     if domain is not None and not domain.is_torus:
@@ -320,15 +322,13 @@ def _parallel_frames(verts):
     cosang = float(np.clip(np.dot(v, n0), -1.0, 1.0))
     sinang = float(np.dot(np.cross(v, n0), tangents[0]))
     alpha = math.atan2(sinang, cosang)
-    out_n = np.empty((n, 3))
-    out_b = np.empty((n, 3))
-    for i in range(n):
-        t = tangents[i]
-        b = np.cross(t, normals[i])
-        ang = alpha * i / n
-        out_n[i] = math.cos(ang) * normals[i] + math.sin(ang) * b
-        out_b[i] = np.cross(t, out_n[i])
-    return out_n, out_b
+    # math.cos/sin per vertex: numpy's vectorized ones may differ in the last bit
+    angles = [alpha * i / n for i in range(n)]
+    cos = np.array([math.cos(a) for a in angles])[:, None]
+    sin = np.array([math.sin(a) for a in angles])[:, None]
+    normals = np.array(normals)
+    out_n = cos * normals + sin * np.cross(tangents, normals)
+    return out_n, np.cross(tangents, out_n)
 
 
 def tube_around(loop, radius, n_u=64, n_v=64, other_components=(), surface_id=None):
@@ -343,6 +343,8 @@ def tube_around(loop, radius, n_u=64, n_v=64, other_components=(), surface_id=No
     _check_mesh(n_u, n_v)
     verts = np.asarray(loop.vertices, dtype=float)
     clearance = loop_clearance(loop, other_components)
+    if not math.isfinite(radius):
+        raise SurfaceError(f"tube radius must be finite, got {radius}")
     if radius <= 0:
         raise SurfaceError("tube radius must be positive")
     if radius >= clearance / 3.0:
@@ -419,7 +421,8 @@ def validate(surface, model):
         sample = reduce_torus(sample)
     else:
         model.domain.check(sample)
-    gaps = model.direct_gap(sample)
-    mg = float(np.min(gaps))
+    mg = float(np.min(model.direct_gap(sample)))
+    if not math.isfinite(mg):  # NaN would pass every gap floor
+        raise SurfaceError(f"surface {surface.surface_id} has a non-finite gap {mg}")
     surface.min_gap_on_surface = mg
     return mg

@@ -176,6 +176,45 @@ def reference_loop_clearance(loop, others=()):
     return clearance
 
 
+def reference_parallel_frames(verts):
+    """Per-vertex ``np.cross`` reference for ``surfaces._parallel_frames``."""
+    n = len(verts)
+    tangents = np.roll(verts, -1, axis=0) - np.roll(verts, 1, axis=0)
+    tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+    ref = np.zeros(3)
+    ref[int(np.argmin(np.abs(tangents[0])))] = 1.0
+    n0 = ref - np.dot(ref, tangents[0]) * tangents[0]
+    n0 /= np.linalg.norm(n0)
+    normals = [n0]
+    for i in range(1, n):
+        v = normals[-1] - np.dot(normals[-1], tangents[i]) * tangents[i]
+        normals.append(v / np.linalg.norm(v))
+    v = normals[-1] - np.dot(normals[-1], tangents[0]) * tangents[0]
+    v /= np.linalg.norm(v)
+    cosang = float(np.clip(np.dot(v, n0), -1.0, 1.0))
+    sinang = float(np.dot(np.cross(v, n0), tangents[0]))
+    alpha = math.atan2(sinang, cosang)
+    out_n = np.empty((n, 3))
+    out_b = np.empty((n, 3))
+    for i in range(n):
+        t = tangents[i]
+        b = np.cross(t, normals[i])
+        ang = alpha * i / n
+        out_n[i] = math.cos(ang) * normals[i] + math.sin(ang) * b
+        out_b[i] = np.cross(t, out_n[i])
+    return out_n, out_b
+
+
+def reference_normal_basis(tangent):
+    """``np.cross`` reference for ``locus._normal_basis``."""
+    t = tangent / np.linalg.norm(tangent)
+    ref = np.zeros(3)
+    ref[int(np.argmin(np.abs(t)))] = 1.0
+    u = np.cross(t, ref)
+    u /= np.linalg.norm(u)
+    return u, np.cross(t, u)
+
+
 def reference_w2_general(surface, frames):
     """Crossing count and spectrum of ``invariants._w2_general`` with the
     u-cycle Wilson loop evaluated at every row, row 0 twice on a tube."""

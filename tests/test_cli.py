@@ -89,6 +89,8 @@ class TestExitCodes:
         (["cohomology", "--fixture", "point", "--resolution", "0"], 64),
         (["cohomology", "--fixture", "point", "--resolution", "8", "--tube-voxels=0"], 64),
         (["cohomology", "--fixture", "loop", "--resolution", "5"], 64),
+        (["charges", "--model", "nodal-loop-real", "--param", "m=2", "--grid", "16",
+          "--tube-radius=nan"], 64),
     ])
     def test_module_exit_status(self, tmp_path, argv, code):
         src = os.path.dirname(os.path.dirname(bt.__file__))
@@ -126,6 +128,15 @@ class TestSizeValidation:
                     "--grid", grid, "--out", str(tmp_path)])
         assert code == 64
         assert "argument --grid" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("radius", [["--tube-radius", "0"], ["--tube-radius", "-0.1"],
+                                        ["--tube-radius=nan"], ["--tube-radius", "inf"]])
+    def test_tube_radius_not_finite_positive_exit_64(self, tmp_path, capsys, radius):
+        code = run(["charges", "--model", "nodal-loop-real", "--param", "m=2",
+                    "--grid", "16", *radius, "--out", str(tmp_path)])
+        assert code == 64
+        assert "argument --tube-radius" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_smallest_sizes_accepted(self, tmp_path):

@@ -9,7 +9,7 @@ from bandtopo.exceptions import (
     SurfaceError,
     UnsupportedModelError,
 )
-from bandtopo.invariants import _polar_unitary, frames_at, holonomy
+from bandtopo.invariants import _polar_unitary, frames_at, holonomy, loop_frames
 from bandtopo.model import CoefficientSpec, TwoBandField, reduce_torus
 
 from conftest import (
@@ -320,6 +320,19 @@ class TestBerryPhase:
         loop = bt.circle_loop([math.pi / 2, 0, 0], 0.2, [0, 0, 1], 100)
         with pytest.raises(SurfaceError):
             bt.berry_phase(nodal_loop2, loop)
+
+    def test_nan_loop_error(self, nodal_loop2):
+        loop = bt.circle_loop([0, 0, 2.0], 0.3, [0, 0, 1], 100)
+        loop.vertices[7, 1] = math.nan
+        with pytest.raises(SurfaceError, match="non-finite gap"):
+            bt.berry_phase(nodal_loop2, loop)
+
+    def test_nan_frames_error(self, nodal_loop2):
+        loop = bt.circle_loop([0, 0, 2.0], 0.3, [0, 0, 1], 100)
+        frames = loop_frames(nodal_loop2, loop)
+        frames[5] = math.nan
+        with pytest.raises(MeshResolutionError, match="nearly singular"):
+            bt.berry_phase(nodal_loop2, loop, frames=frames)
 
 
 class TestW1:

@@ -16,6 +16,7 @@ from conftest import (
     reference_correct_to_curve,
     reference_gap_tangent,
     reference_newton_on_field,
+    reference_normal_basis,
     reference_transverse_slope,
 )
 
@@ -321,6 +322,18 @@ class TestBatchedKernels:
             assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
             converged += 0 < got[1] < 60
         assert converged
+
+    def test_normal_basis_bitwise(self, four_band_lattice_locus):
+        from bandtopo.locus import _normal_basis
+
+        rng = np.random.default_rng(14)
+        tangents = [*rng.normal(size=(100, 3)), np.array([0.0, 0.0, 1.0]),
+                    np.array([-1.0, 0.0, -0.0]), np.array([1e-300, 2.0, -3.0])]
+        for loop in four_band_lattice_locus.loops:
+            tangents += list(np.diff(loop.vertices, axis=0))
+        for t in tangents:
+            got, ref = _normal_basis(t), reference_normal_basis(t)
+            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
 
 def random_cell_sets():

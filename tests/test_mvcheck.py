@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bandtopo as bt
-from bandtopo.exceptions import LedgerError
+from bandtopo.exceptions import LedgerError, SurfaceError
 from bandtopo.mvcheck import ChargeLedger, LedgerEntry, verify_ledger
 
 from conftest import gapped_model
@@ -140,6 +140,18 @@ class TestAssembleLedger:
         for verts in checked:  # each meridian's frames are taken once
             assert sum(f.shape == verts.shape and np.array_equal(f, verts)
                        for f in framed) == 1
+
+    def test_explicit_zero_radius_rejected(self, weyl2, weyl2_locus, nodal_loop2,
+                                           nodal_loop2_locus):
+        with pytest.raises(SurfaceError, match="sphere radius must be positive"):
+            bt.assemble_ledger(weyl2, weyl2_locus, sphere_radius=0.0)
+        with pytest.raises(SurfaceError, match="tube radius must be positive"):
+            bt.assemble_ledger(nodal_loop2, nodal_loop2_locus, tube_radius=0.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, nodal_loop2, nodal_loop2_locus, radius):
+        with pytest.raises(SurfaceError, match="finite"):
+            bt.assemble_ledger(nodal_loop2, nodal_loop2_locus, tube_radius=radius)
 
     def test_verify_ledger_verdicts(self, weyl2, weyl2_locus):
         ledger = bt.assemble_ledger(weyl2, weyl2_locus, mesh=(48, 48))

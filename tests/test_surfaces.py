@@ -7,7 +7,12 @@ import bandtopo as bt
 from bandtopo.exceptions import SurfaceError
 from bandtopo.surfaces import SLICE, SPHERE, TUBE, ClosedSurface, LoopPath, loop_clearance
 
-from conftest import reference_loop_clearance, reference_quads, reference_spherical_area
+from conftest import (
+    reference_loop_clearance,
+    reference_parallel_frames,
+    reference_quads,
+    reference_spherical_area,
+)
 
 
 class TestSphere:
@@ -161,6 +166,58 @@ class TestLoopClearance:
             assert abs(loop_clearance(loop, others) - want) <= 1e-12 * want
             seen += 1
         assert seen >= 10
+
+
+class TestParallelFrames:
+    """``_parallel_frames`` gives bitwise the per-vertex ``np.cross`` frames."""
+
+    @staticmethod
+    def assert_bitwise(center):
+        from bandtopo.surfaces import _parallel_frames
+
+        got, ref = _parallel_frames(center), reference_parallel_frames(center)
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+    def test_lattice_lines_tubes(self, nodal_loop2_locus, four_band_locus,
+                                 four_band_lattice_locus):
+        from bandtopo.surfaces import _resample_loop
+
+        loops = [*nodal_loop2_locus.loops, *four_band_locus.loops,
+                 *four_band_lattice_locus.loops]
+        assert len(loops) == 14
+        for loop in loops:
+            for n_u in (32, 64):
+                self.assert_bitwise(_resample_loop(loop.vertices, n_u))
+
+    def test_random_closed_curves(self):
+        rng = np.random.default_rng(21)
+        for n in (3, 17, 64, 257):
+            t = 2 * math.pi * np.arange(n) / n
+            modes = rng.normal(size=(2, 3, 3))
+            curve = sum(np.outer(np.cos(j * t), modes[0, j - 1])
+                        + np.outer(np.sin(j * t), modes[1, j - 1]) for j in (1, 2, 3))
+            self.assert_bitwise(curve)
+
+
+class TestNonFinite:
+    """Non-finite radii and sampled gaps raise instead of passing every check."""
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_sphere_radius(self, radius):
+        with pytest.raises(SurfaceError, match="finite"):
+            bt.sphere_around([0, 0, 0], radius, 8, 8)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_tube_radius(self, nodal_loop2_locus, radius):
+        with pytest.raises(SurfaceError, match="finite"):
+            bt.tube_around(nodal_loop2_locus.loops[0], radius, 8, 8)
+
+    def test_validate_nan_gap(self, weyl2):
+        s = bt.sphere_around([0.5, 0.5, 0.5], 0.3, 8, 8)
+        s.points[3] = math.nan
+        with pytest.raises(SurfaceError, match="non-finite gap"):
+            bt.validate(s, weyl2)
+        assert s.min_gap_on_surface is None
 
 
 class TestSliceTorus:
