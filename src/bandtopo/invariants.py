@@ -1,10 +1,15 @@
 """Topological charges on closed surfaces and loops.
 
-All quantities are built from overlap matrices of occupied eigenframes
-(never individual eigenvectors), polar-unitarized before any determinant
-is taken, so degenerate occupied subspaces and arbitrary per-vertex gauge
-choices are harmless.  Integer and Z2 results carry their pre-rounding
-residuals.
+All quantities are built from overlap matrices F_a^dagger F_b of occupied
+eigenframes (never individual eigenvectors), so degenerate occupied
+subspaces and arbitrary per-vertex gauge choices are harmless.  The Berry
+flux through a closed mesh takes one U(1) phase arg det(F_a^dagger F_b) per
+mesh edge straight from the raw overlaps (Fukui, Hatsugai & Suzuki, J. Phys.
+Soc. Jpn. 74, 1674 (2005)); each plaquette's flux is the wrapped sum of its
+four edge phases.  Polar factors of the overlaps are taken only for the
+Wilson lines of Berry phases, w1 and w2.  Every overlap must keep its
+smallest singular value above 1e-8.  Integer and Z2 results carry their
+pre-rounding residuals.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from .exceptions import (
     SurfaceError,
     UnsupportedModelError,
 )
-from .model import TWO_PI, reduce_torus
-from .surfaces import SPHERE, slice_torus, validate
+from .model import TWO_PI, fix_gauge, reduce_torus
+from .surfaces import SLICE, SPHERE, slice_torus, validate
 
 CHERN_RESIDUAL_TOL = 0.01
 DEGREE_RESIDUAL_TOL = 0.05
@@ -39,11 +44,46 @@ def frames_at(model, points, occupied=None):
     if model.domain.is_torus:
         pts = reduce_torus(pts)
     _, frames = model.eigenframes(pts, occupied=occupied)
-    idx = np.argmax(np.abs(frames), axis=-2)
-    lead = np.take_along_axis(frames, idx[..., None, :], axis=-2)[..., 0, :]
-    phase = lead / np.where(np.abs(lead) < 1e-300, 1.0, np.abs(lead))
-    frames = frames * np.conj(phase)[..., None, :]
-    return frames
+    return fix_gauge(frames)
+
+
+def _surface_frames(model, surface, occupied):
+    """The vertex frames ``validate`` kept on the surface when they belong
+    to this model and occupied count, else a fresh ``frames_at``."""
+    kept = surface.vertex_frames
+    if kept is not None and kept[0] is model and kept[1] == occupied:
+        return kept[2]
+    return frames_at(model, surface.points, occupied=occupied)
+
+
+def _require_regular(s):
+    """Raise MeshResolutionError unless all singular values s are >= 1e-8."""
+    if not np.min(s) >= 1e-8:  # a NaN counts as singular
+        raise MeshResolutionError(
+            "overlap matrix nearly singular: mesh too coarse or surface too "
+            "close to the nodal set",
+            residual=float(np.min(s)),
+        )
+
+
+def _rank_two(m):
+    """det M, s_1 + s_2 = sqrt(|M|_F^2 + 2 |det M|) and the smaller
+    singular value s_2 of a stack of 2x2 blocks, in closed form."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    sq = m.real * m.real
+    if np.iscomplexobj(m):
+        sq += m.imag * m.imag
+    fro2 = np.sum(sq, axis=(-2, -1))
+    abs_det = np.abs(det)
+    total = np.sqrt(fro2 + 2.0 * abs_det)
+    # s_1 - s_2 = sqrt(|M|_F^2 - 2 |det M|); rounding may push it below 0
+    return det, total, 0.5 * (total - np.sqrt(np.maximum(fro2 - 2.0 * abs_det, 0.0)))
+
+
+def _require_finite(m):
+    """Reject a non-finite block as singular before LAPACK's SVD sees it."""
+    if not np.all(np.isfinite(m)):
+        _require_regular(np.nan)
 
 
 def _polar_unitary(m):
@@ -51,26 +91,38 @@ def _polar_unitary(m):
 
     A stack of 1x1 overlaps z (one occupied band) takes the closed form
     z / |z|, the abelian link variable of Fukui, Hatsugai & Suzuki, with
-    singular value |z|; larger blocks take u @ vh of one batched SVD.
+    singular value |z|.  2x2 blocks take the closed form
+    (M + (det M / |det M|) conj(cof M)) / (s_1 + s_2).  Larger blocks take
+    u @ vh of one batched SVD.
     """
-    rank_one = m.shape[-1] == 1
-    if rank_one:
+    rank = m.shape[-1]
+    if rank == 1:
         s = np.abs(m)
-    else:
-        u, s, vh = np.linalg.svd(m)
-    if not np.min(s) >= 1e-8:  # a NaN counts as singular
-        raise MeshResolutionError(
-            "overlap matrix nearly singular: mesh too coarse or surface too "
-            "close to the nodal set",
-            residual=float(np.min(s)),
-        )
-    return m / s if rank_one else u @ vh
+        _require_regular(s)
+        return m / s
+    if rank == 2:
+        det, total, s_min = _rank_two(m)
+        _require_regular(s_min)
+        cof = np.stack([m[..., 1, 1], -m[..., 1, 0], -m[..., 0, 1], m[..., 0, 0]], axis=-1)
+        phase = (det / np.abs(det))[..., None, None]
+        return (m + phase * np.conj(cof.reshape(m.shape))) / total[..., None, None]
+    _require_finite(m)
+    u, s, vh = np.linalg.svd(m)
+    _require_regular(s)
+    return u @ vh
+
+
+def _overlaps(frames, a, b):
+    """F_a^dagger F_b for index arrays a, b of one shape (``np.take``
+    gathers stacked frames several times faster than fancy indexing)."""
+    fa, fb = np.take(frames, a, axis=0), np.take(frames, b, axis=0)
+    return np.conj(np.swapaxes(fa, -1, -2)) @ fb
 
 
 def _links(frames, a, b):
     """Polar-unitarized overlaps F_a^dagger F_b for index arrays a, b of any
     shape, in one batched polar step; exactly the identity where a == b."""
-    links = _polar_unitary(np.conj(np.swapaxes(frames[a], -1, -2)) @ frames[b])
+    links = _polar_unitary(_overlaps(frames, a, b))
     links[a == b] = np.eye(frames.shape[-1])
     return links
 
@@ -205,15 +257,16 @@ def chern_flux(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_
                frames=None):
     """Integer Berry-flux charge of a validated closed surface.
 
-    Plaquette fluxes are arg det of the product of polar-unitarized occupied
-    overlaps around each (outward-oriented) quad; their total over the closed
-    mesh is 2 pi times an integer.  Raises MeshResolutionError when the
+    Each plaquette's flux is the wrapped sum of the edge phases
+    arg det(F_a^dagger F_b) around its (outward-oriented) quad; their total
+    over the closed mesh is 2 pi times an integer.  ``frames`` default to
+    the vertex frames ``validate`` kept.  Raises MeshResolutionError when the
     pre-rounding deviation reaches ``residual_tol``.
     """
     _require_validated(surface, model, 10.0 * residual_tol)
     occ = model.occupied_count if occupied_count is None else int(occupied_count)
     if frames is None:
-        frames = frames_at(model, surface.points, occupied=occ)
+        frames = _surface_frames(model, surface, occ)
     total, peak = _total_plaquette_flux(frames, surface)
     # sign fixed so the charge equals the degree of the two-band field on
     # the same outward-oriented surface
@@ -243,11 +296,47 @@ def chern_flux(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_
     )
 
 
+def _edge_phases(frames, a, b):
+    """arg det(F_a^dagger F_b) for index arrays a, b of one shape, exactly 0
+    where a == b; raises MeshResolutionError if an overlap is nearly
+    singular."""
+    m = _overlaps(frames, a, b)
+    rank = m.shape[-1]
+    if rank == 1:
+        det = m[..., 0, 0]
+        _require_regular(np.abs(det))
+    elif rank == 2:
+        det, _, s_min = _rank_two(m)
+        _require_regular(s_min)
+    else:
+        _require_finite(m)
+        _require_regular(np.linalg.svd(m, compute_uv=False))
+        det = np.linalg.det(m)
+    phases = np.angle(det)
+    phases[a == b] = 0.0
+    return phases
+
+
 def _total_plaquette_flux(frames, surface):
-    quads = surface.quad_vertex_ids()
-    prod = holonomy(frames, np.column_stack([quads, quads[:, 0]]))
-    angles = np.angle(np.linalg.det(prod))
-    return float(np.sum(angles)), float(np.max(np.abs(angles)))
+    """Total and largest |flux| over the plaquettes of a closed mesh.
+
+    Each mesh edge takes one phase: the v-edges m[:, :-1] -> m[:, 1:] and
+    the u-edges m[:-1] -> m[1:] of the index map m.  Quad (iu, iv) then
+    holds v(iu, iv) + u(iu, iv+1) - v(iu+1, iv) - u(iu, iv), wrapped, in
+    the corner order of ``quad_vertex_ids``: negated on slices, which
+    traverse the other way, and on reversed surfaces.
+    """
+    m = surface.index_map
+    n_v_edges = m.shape[0] * (m.shape[1] - 1)
+    a = np.concatenate([m[:, :-1].ravel(), m[:-1].ravel()])
+    b = np.concatenate([m[:, 1:].ravel(), m[1:].ravel()])
+    phases = _edge_phases(frames, a, b)
+    v = phases[:n_v_edges].reshape(m.shape[0], -1)
+    u = phases[n_v_edges:].reshape(-1, m.shape[1])
+    sign = -surface.orientation if surface.kind == SLICE else surface.orientation
+    flux = sign * (v[:-1] + u[:, 1:] - v[1:] - u[:, :-1])
+    flux -= TWO_PI * np.rint(flux / TWO_PI)  # into [-pi, pi]
+    return float(np.sum(flux)), float(np.max(np.abs(flux)))
 
 
 # -- map degree -------------------------------------------------------------------
@@ -379,7 +468,7 @@ def w2_on(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_TOL,
             "of a >= 4 band model"
         )
     _require_validated(surface, model, 10.0 * residual_tol)
-    frames = frames_at(model, surface.points, occupied=occ)
+    frames = _surface_frames(model, surface, occ)
     if np.iscomplexobj(frames):
         raise UnsupportedModelError("w2 requires real eigenframes")
     if occ == 2:

@@ -112,17 +112,14 @@ def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None):
     for g in gaps:
         gap = model.gap_of(spectrum, g)
         n = grid.n_cells
+        # corner (di, dj, dl) of every cell as a view; the torus wraps its last layer
+        corners = np.pad(gap, (0, 1), mode="wrap") if grid.torus else gap
         mins = np.full((n, n, n), np.inf)
         maxs = np.full((n, n, n), -np.inf)
-        for di in (0, 1):
-            for dj in (0, 1):
-                for dl in (0, 1):
-                    if grid.torus:
-                        block = np.roll(np.roll(np.roll(gap, -di, 0), -dj, 1), -dl, 2)
-                    else:
-                        block = gap[di : di + n, dj : dj + n, dl : dl + n]
-                    mins = np.minimum(mins, block)
-                    maxs = np.maximum(maxs, block)
+        for di, dj, dl in itertools.product((0, 1), repeat=3):
+            block = corners[di : di + n, dj : dj + n, dl : dl + n]
+            mins = np.minimum(mins, block)
+            maxs = np.maximum(maxs, block)
         spread = maxs - mins
         if gap_threshold is None:
             # a cell containing a zero has min corner gap below its own
@@ -134,9 +131,8 @@ def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None):
         else:
             mask = mins < float(gap_threshold)
             thresholds[g] = float(gap_threshold)
-        idx = np.argwhere(mask)
-        flagged[g] = [tuple(map(int, t)) for t in idx]
-        min_gaps[g] = {tuple(map(int, t)): float(mins[tuple(t)]) for t in idx}
+        flagged[g] = list(map(tuple, np.argwhere(mask).tolist()))
+        min_gaps[g] = dict(zip(flagged[g], mins[mask].tolist()))
     return ScanResult(model, resolution, grid, thresholds, flagged, min_gaps)
 
 

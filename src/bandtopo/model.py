@@ -45,9 +45,13 @@ def pauli_word(word):
 
 
 def reduce_torus(coords):
-    """Reduce torus momenta to the fundamental domain [-pi, pi)^3."""
-    k = np.asarray(coords, dtype=float)
-    return (k + math.pi) % TWO_PI - math.pi
+    """Reduce torus momenta to the fundamental domain [-pi, pi)^3.
+
+    Bitwise equal to ``(k + pi) % 2 pi - pi``: np.remainder is fmod moved
+    into [0, 2 pi), and the final - pi drops the sign of a zero remainder.
+    """
+    r = np.fmod(np.asarray(coords, dtype=float) + math.pi, TWO_PI)
+    return r + TWO_PI * (r < 0) - math.pi
 
 
 def torus_delta(a, b):
@@ -356,6 +360,15 @@ def _two_band_vectors(h, norm, real):
     lower = np.stack([a, b], axis=-1)
     upper = np.stack([-np.conj(b), np.conj(a)], axis=-1)
     return np.stack([lower, upper], axis=-1)
+
+
+def fix_gauge(frames):
+    """Frames with a deterministic per-column gauge: the largest-magnitude
+    entry of each column made real positive."""
+    idx = np.argmax(np.abs(frames), axis=-2)
+    lead = np.take_along_axis(frames, idx[..., None, :], axis=-2)[..., 0, :]
+    phase = lead / np.where(np.abs(lead) < 1e-300, 1.0, np.abs(lead))
+    return frames * np.conj(phase)[..., None, :]
 
 
 def _term_words(model):

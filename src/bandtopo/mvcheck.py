@@ -269,6 +269,8 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
                 surface_id=f"sphere({comp.id},r={radius:g})",
             )
             validate(sphere, model)
+            # the flux reuses the vertex frames validate kept; the degree
+            # oracle below evaluates the field on its own
             flux = chern_flux(model, sphere)
             entry.chirality = flux.value
             entry.chirality_residual = flux.residual

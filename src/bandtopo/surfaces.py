@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SurfaceError
-from .model import TWO_PI, as_k_array, reduce_torus
+from .model import TWO_PI, as_k_array, fix_gauge, reduce_torus
 
 SPHERE = "sphere"
 TUBE = "tube-torus"
@@ -71,6 +71,9 @@ class ClosedSurface:
         self.meta = meta or {}
         self.orientation = 1
         self.min_gap_on_surface = None
+        # (model, occupied count, gauge-fixed occupied frames per point),
+        # kept by ``validate`` for the charges computed on this surface
+        self.vertex_frames = None
         self.tube_frame = None  # (center, normals, binormals, radius) of a tube
         self.n_u = grid.shape[0] - 1
         self.n_v = grid.shape[1] - 1
@@ -155,7 +158,7 @@ class ClosedSurface:
     def spherical_area(self, unit):
         """Total signed spherical area of the image of the mesh under unit
         vectors ``unit`` (one per point): 4 pi times the map degree."""
-        a, b, c, d = unit[self.quad_vertex_ids().T]
+        a, b, c, d = np.take(unit, self.quad_vertex_ids().T, axis=0)
         return float(np.sum(_solid_angles(a, b, c)) + np.sum(_solid_angles(a, c, d)))
 
     def signed_solid_angle(self, about):
@@ -185,9 +188,17 @@ class ClosedSurface:
 
 def _solid_angles(a, b, c):
     """Signed spherical areas of unit-vector triangles, stacked along the
-    leading axes (van Oosterom-Strackee)."""
-    num = np.sum(a * np.cross(b, c), axis=-1)
-    den = 1.0 + np.sum(a * b, axis=-1) + np.sum(b * c, axis=-1) + np.sum(c * a, axis=-1)
+    leading axes (van Oosterom-Strackee).
+
+    Written out by component; each product, difference and left-to-right
+    three-term sum rounds as in ``np.sum(a * np.cross(b, c), axis=-1)``.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
+    num = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
+    den = (1.0 + (a0 * b0 + a1 * b1 + a2 * b2) + (b0 * c0 + b1 * c1 + b2 * c2)
+           + (c0 * a0 + c1 * a1 + c2 * a2))
     return 2.0 * np.arctan2(num, den)
 
 
@@ -205,13 +216,16 @@ def _unique_grid(grid, poles=False):
     order of their first grid slot.
     """
     n_u, n_v = grid.shape[0] - 1, grid.shape[1] - 1
-    iu, iv = np.indices(grid.shape[:2])
-    first_u, first_v = iu % n_u, iv % n_v
-    if poles:
-        first_u[:, [0, n_v]], first_v = 0, iv
-    first = np.ravel_multi_index((first_u, first_v), iu.shape)
-    slots, index_map = np.unique(first, return_inverse=True)
-    return grid.reshape(-1, 3)[slots], index_map.reshape(iu.shape)
+    iu, iv = np.ogrid[: n_u + 1, : n_v + 1]
+    first_u = iu % n_u
+    if not poles:
+        index_map = first_u * n_v + iv % n_v
+        return grid[:n_u, :n_v].reshape(-1, 3), index_map  # a copy: rows are not contiguous
+    # row u = 0 holds the north pole, its n_v - 1 inner slots and the south
+    # pole (ids 0..n_v); every later row adds its n_v - 1 inner slots
+    index_map = first_u * (n_v - 1) + iv + (first_u > 0)
+    index_map[:, 0], index_map[:, n_v] = 0, n_v
+    return np.concatenate([grid[0], grid[1:n_u, 1:n_v].reshape(-1, 3)]), index_map
 
 
 def sphere_around(center, radius, n_u=64, n_v=64, domain=None, surface_id=None):
@@ -411,18 +425,27 @@ def slice_torus(axis, value, n_u=64, n_v=64, surface_id=None):
 def validate(surface, model):
     """Sample the direct gap on vertices and quad centers; store the minimum.
 
-    Returns the minimum gap.  Downstream invariants refuse surfaces whose
-    stored minimum is too small for their tolerance.
+    The vertices take one eigensolve: its energies give their gaps, and the
+    surface keeps its occupied frames, gauge-fixed as ``frames_at`` fixes
+    them, in ``vertex_frames`` with the model and occupied count they belong
+    to.  The charges computed on the surface reuse them.  Returns the
+    minimum gap.  Downstream invariants refuse surfaces whose stored minimum
+    is too small for their tolerance.
     """
     pts = surface.points
     centers = surface.quad_centers().reshape(-1, 3)
-    sample = np.vstack([pts, centers])
     if model.domain.is_torus:
-        sample = reduce_torus(sample)
+        pts, centers = reduce_torus(pts), reduce_torus(centers)
     else:
-        model.domain.check(sample)
-    mg = float(np.min(model.direct_gap(sample)))
+        model.domain.check(pts)
+        model.domain.check(centers)
+    # a non-finite vertex gives non-finite frames; the gap check drops them
+    with np.errstate(invalid="ignore"):
+        energies, frames = model.eigenframes(pts)
+    mg = float(np.minimum(np.min(model.gap_of(energies)),
+                          np.min(model.direct_gap(centers))))
     if not math.isfinite(mg):  # NaN would pass every gap floor
         raise SurfaceError(f"surface {surface.surface_id} has a non-finite gap {mg}")
     surface.min_gap_on_surface = mg
+    surface.vertex_frames = (model, model.occupied_count, fix_gauge(frames))
     return mg

@@ -9,8 +9,15 @@ from bandtopo.exceptions import (
     SurfaceError,
     UnsupportedModelError,
 )
-from bandtopo.invariants import _polar_unitary, frames_at, holonomy, loop_frames
-from bandtopo.model import CoefficientSpec, TwoBandField, reduce_torus
+from bandtopo.invariants import (
+    _polar_unitary,
+    _rank_two,
+    _total_plaquette_flux,
+    frames_at,
+    holonomy,
+    loop_frames,
+)
+from bandtopo.model import BlochModel, CoefficientSpec, TwoBandField, reduce_torus
 
 from conftest import (
     random_two_band,
@@ -140,15 +147,30 @@ class TestDegree:
 
 
 def reference_flux(frames, surface):
-    """Per-plaquette loop reference for the total Berry flux of a mesh."""
-    total = 0.0
-    for quad in reference_quads(surface):
-        prod = np.eye(frames.shape[-1])
-        for a, b in zip(quad, quad[1:] + quad[:1]):
-            u, _, vh = np.linalg.svd(np.conj(frames[a]).T @ frames[b])
-            prod = prod @ (u @ vh)
-        total += float(np.angle(np.linalg.det(prod)))
-    return total
+    """Per-plaquette loop reference for the Berry flux of a mesh: arg det of
+    the product of polar links around each quad.  Returns the total and the
+    largest |flux|."""
+    angles = [
+        float(np.angle(np.linalg.det(reference_holonomy(frames, quad + quad[:1]))))
+        for quad in reference_quads(surface)
+    ]
+    return sum(angles), max(abs(a) for a in angles)
+
+
+def smooth_rank_two_frames(points, seed):
+    """Complex rank-2 frames in C^4 that vary smoothly over the points, in a
+    random per-point U(2) gauge: their links do not commute."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    harmonics = rng.integers(-1, 2, size=(3, 3))
+    m = cplx(4, 2) + sum(
+        0.4 * np.cos(points @ n)[:, None, None] * cplx(4, 2) for n in harmonics
+    )
+    gauge = np.linalg.qr(cplx(len(points), 2, 2))[0]
+    return np.linalg.qr(m)[0] @ gauge
 
 
 class TestQuadLoopReference:
@@ -183,17 +205,66 @@ class TestQuadLoopReference:
         for s in surfaces:
             frames = frames_at(weyl2, s.points)
             for t in (s, s.reversed()):
-                raw = -reference_flux(frames, t) / (2 * math.pi)
+                raw = -reference_flux(frames, t)[0] / (2 * math.pi)
                 flux = bt.chern_flux(weyl2, t, frames=frames)
                 assert flux.value == int(np.rint(raw)) == bt.degree(
                     weyl2.two_band_field, t).value
                 assert abs(flux.residual - abs(raw - flux.value)) < 1e-12
 
 
+class TestEdgePhaseFlux:
+    """One phase per mesh edge gives the per-quad products of polar links:
+    the same total and peak plaquette flux, in both orientations."""
+
+    @staticmethod
+    def assert_matches_reference(frames, surface):
+        for t in (surface, surface.reversed()):
+            total, peak = _total_plaquette_flux(frames, t)
+            ref_total, ref_peak = reference_flux(frames, t)
+            assert abs(total - ref_total) < 1e-12
+            assert abs(peak - ref_peak) < 1e-12
+
+    @staticmethod
+    def surfaces(center, radius, value):
+        return [bt.sphere_around(center, radius, 16, 12), bt.slice_torus("z", value, 16, 16)]
+
+    def test_weyl_lattice(self, weyl2):
+        surfs = self.surfaces([0, 0, math.pi / 2], 0.3, 0.0)
+        for s in surfs:
+            self.assert_matches_reference(frames_at(weyl2, s.points), s)
+        # both enclose one unit of flux
+        assert [round(-reference_flux(frames_at(weyl2, s.points), s)[0] / (2 * math.pi))
+                for s in surfs] == [-1, 1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_two_band(self, seed):
+        model = random_two_band(seed)
+        for s in self.surfaces([0, 0, 0], 0.6, math.pi / 2):
+            self.assert_matches_reference(frames_at(model, s.points), s)
+
+    def test_rank_two_lattice(self, four_band_lattice):
+        for s in self.surfaces([math.pi / 2] * 3, 0.4, 1.0):
+            frames = frames_at(four_band_lattice, s.points)
+            assert frames.shape[-1] == 2
+            self.assert_matches_reference(frames, s)
+
+    def test_rank_two_complex_frames(self):
+        for i, s in enumerate(self.surfaces([0.2, -0.1, 0.3], 0.5, 0.7)):
+            self.assert_matches_reference(smooth_rank_two_frames(s.points, i), s)
+
+    def test_nan_frame_rejected(self, weyl2):
+        s = bt.slice_torus("z", 0.0, 8, 8)
+        frames = frames_at(weyl2, s.points)
+        frames[5] = math.nan
+        with pytest.raises(MeshResolutionError, match="nearly singular"):
+            _total_plaquette_flux(frames, s)
+
+
 class TestHolonomy:
     """``holonomy`` equals per-step products of polar overlaps on loops,
     tube and sphere u-cycles (pole rows included) and closed quads, in both
-    orientations, and every invariant makes one batched SVD per call."""
+    orientations, and no invariant with fewer than 3 occupied bands calls
+    the SVD."""
 
     @staticmethod
     def assert_matches_reference(frames, paths):
@@ -263,8 +334,9 @@ class TestHolonomy:
         bt.berry_phase(nodal_loop2, mer)
         bt.w1_along(nodal_loop2, mer)
         assert svd_calls == []
+        # two occupied bands: the rank-2 links take the closed form
         bt.w2_on(four_band, tube)
-        assert len(svd_calls) <= 3
+        assert svd_calls == []
 
     @pytest.mark.parametrize("dtype", [complex, float])
     def test_rank_one_polar_matches_svd(self, dtype):
@@ -282,6 +354,122 @@ class TestHolonomy:
         with pytest.raises(MeshResolutionError) as exc:
             _polar_unitary(z)
         assert exc.value.residual == abs(z[1, 0, 0])
+
+    @staticmethod
+    def rank_two_blocks(dtype, sigma=None, seed=13):
+        """Blocks q1 @ diag(sigma) @ q2 with random q1, q2 in U(2) or O(2);
+        without sigma, near-unitary q1 @ (1 + 0.2 g) like mesh overlaps."""
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            m = rng.normal(size=shape)
+            return m + 1j * rng.normal(size=shape) if dtype is complex else m
+
+        q1, q2 = np.linalg.qr(draw(7, 5, 2, 2))[0], np.linalg.qr(draw(7, 5, 2, 2))[0]
+        if sigma is None:
+            return q1 @ (np.eye(2) + 0.2 * draw(7, 5, 2, 2))
+        return q1 @ np.diag(sigma) @ q2
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_rank_two_polar_matches_svd(self, dtype):
+        m = self.rank_two_blocks(dtype)
+        u, _, vh = np.linalg.svd(m)
+        got = _polar_unitary(m)
+        assert got.shape == m.shape and got.dtype == m.dtype
+        assert np.max(np.abs(got - u @ vh)) <= 1e-15
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("s_min", [1e-3, 1e-6, 2e-8, 3e-9])
+    def test_rank_two_singular_value_near_singular(self, dtype, s_min):
+        m = self.rank_two_blocks(dtype, [1.0, s_min])
+        svd = np.linalg.svd(m, compute_uv=False)[..., -1]
+        _, total, got = _rank_two(m)
+        assert np.max(np.abs(got - svd)) <= 1e-15
+        assert np.max(np.abs(total - 1.0 - s_min)) <= 1e-15
+        if s_min < 1e-8:
+            with pytest.raises(MeshResolutionError) as exc:
+                _polar_unitary(m)
+            assert exc.value.residual == np.min(got)
+        else:  # the polar factor itself stays unitary
+            u = _polar_unitary(m)
+            assert np.max(np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(2))) < 1e-14
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (3, 2, 2), (3, 3, 3)])
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_nan_blocks_raise_mesh_resolution_error(self, shape, dtype):
+        with pytest.raises(MeshResolutionError, match="nearly singular") as exc:
+            _polar_unitary(np.full(shape, np.nan, dtype=dtype))
+        assert math.isnan(exc.value.residual)
+
+
+class TestFrameReuse:
+    """``validate`` makes the one eigensolve at the vertices of a surface;
+    the charges on it reuse those frames."""
+
+    @pytest.fixture()
+    def eig_calls(self, monkeypatch):
+        calls = []
+        eigenframes = BlochModel.eigenframes
+
+        def counted(model, k, occupied=None):
+            calls.append(np.shape(k)[:-1])
+            return eigenframes(model, k, occupied)
+
+        monkeypatch.setattr(BlochModel, "eigenframes", counted)
+        return calls
+
+    @pytest.mark.parametrize("name, surfaces, loops", [
+        ("weyl2", 2, 0),
+        ("nodal_loop2", 1, 1),
+        ("four_band", 1, 1),
+        ("four_band_lattice", 12, 12),
+    ])
+    def test_assemble_ledger_one_call_per_surface(self, request, eig_calls, name,
+                                                   surfaces, loops):
+        model = request.getfixturevalue(name)
+        locus = request.getfixturevalue(f"{name}_locus")
+        del eig_calls[:]
+        bt.assemble_ledger(model, locus)
+        mesh_points = {64 * 63 + 2, 64 * 64}  # sphere, tube
+        assert [n[0] for n in eig_calls].count(bt.mvcheck.DEFAULT_LOOP_POINTS) == loops
+        assert sum(n[0] in mesh_points for n in eig_calls) == surfaces
+        assert len(eig_calls) == surfaces + loops
+
+    def test_charges_make_no_eigensolve(self, weyl2, four_band, four_band_locus, eig_calls):
+        sphere = validated_sphere(weyl2, [0, 0, math.pi / 2])
+        loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
+        tube = bt.tube_around(loop, 0.25, 32, 32)
+        bt.validate(tube, four_band)
+        del eig_calls[:]
+        flux = bt.chern_flux(weyl2, sphere)
+        w2 = bt.w2_on(four_band, tube)
+        assert eig_calls == []
+        # the same charges from fresh frames
+        assert flux == bt.chern_flux(weyl2, sphere, frames=frames_at(weyl2, sphere.points))
+        tube.vertex_frames = None
+        assert w2.to_record() == bt.w2_on(four_band, tube).to_record()
+        assert len(eig_calls) == 2
+
+    def test_other_occupied_count_takes_fresh_frames(self, four_band, four_band_locus,
+                                                     eig_calls):
+        loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
+        tube = bt.tube_around(loop, 0.25, 32, 32,
+                              other_components=[four_band_locus.open_arcs[0].vertices])
+        bt.validate(tube, four_band)
+        del eig_calls[:]
+        bt.w2_on(four_band, tube, occupied_count=3)
+        assert eig_calls == [(len(tube.points),)]
+
+    def test_other_model_takes_fresh_frames(self, weyl2, eig_calls):
+        sphere = validated_sphere(weyl2, [0, 0, math.pi / 2])
+        other = bt.builtin("weyl-lattice", m=2)
+        del eig_calls[:]
+        assert bt.chern_flux(other, sphere).value == -1
+        assert eig_calls == [(len(sphere.points),)]
+
+    def test_chern_scan_one_call_per_slice(self, weyl2, eig_calls):
+        bt.chern_scan(weyl2, "z", [-2.0, 0.0, math.pi / 2, 2.0], n_u=16, n_v=16)
+        assert eig_calls == [(16 * 16,)] * 4
 
 
 class TestBerryPhase:

@@ -21,6 +21,43 @@ from conftest import (
 )
 
 
+def reference_scan_grid(model, resolution, gap_threshold=None):
+    """Cell flags of ``scan_grid`` from rolled corner copies and per-cell
+    indexing: thresholds, flagged cells and their minimum gaps."""
+    from bandtopo.locus import ScanGrid
+
+    grid = ScanGrid(model, resolution)
+    pts = grid.points()
+    spectrum = model.spectrum(pts.reshape(-1, 3)).reshape(pts.shape[:-1] + (-1,))
+    n = grid.n_cells
+    thresholds, flagged, min_gaps = {}, {}, {}
+    for g in range(1, model.occupied_count + 1):
+        gap = model.gap_of(spectrum, g)
+        mins = np.full((n, n, n), np.inf)
+        maxs = np.full((n, n, n), -np.inf)
+        for di in (0, 1):
+            for dj in (0, 1):
+                for dl in (0, 1):
+                    if grid.torus:
+                        block = np.roll(np.roll(np.roll(gap, -di, 0), -dj, 1), -dl, 2)
+                    else:
+                        block = gap[di : di + n, dj : dj + n, dl : dl + n]
+                    mins = np.minimum(mins, block)
+                    maxs = np.maximum(maxs, block)
+        spread = maxs - mins
+        if gap_threshold is None:
+            floor = 0.12 * float(np.max(spread))
+            mask = mins < np.maximum(1.35 * spread, floor)
+            thresholds[g] = float(np.max(spread)) * 1.35
+        else:
+            mask = mins < float(gap_threshold)
+            thresholds[g] = float(gap_threshold)
+        idx = np.argwhere(mask)
+        flagged[g] = [tuple(map(int, t)) for t in idx]
+        min_gaps[g] = {tuple(map(int, t)): float(mins[tuple(t)]) for t in idx}
+    return thresholds, flagged, min_gaps
+
+
 def cluster_count(scan, gap_index=1):
     from bandtopo.locus import _cluster_cells
 
@@ -75,6 +112,24 @@ class TestScanGrid:
     def test_explicit_gap_index_checked(self, weyl2):
         with pytest.raises(ValueError, match="gap_index"):
             scan_grid(weyl2, resolution=8, gap_index=2)
+
+    @pytest.mark.parametrize("name", ["weyl2", "nodal_loop2", "four_band", "four_band_lattice"])
+    @pytest.mark.parametrize("threshold", [None, 0.3])
+    def test_matches_rolled_corner_reference(self, request, name, threshold):
+        """Same flagged cells in the same order, with bitwise-equal minimum
+        gaps, as rolled corner copies and per-cell indexing give."""
+        model = request.getfixturevalue(name)
+        scan = scan_grid(model, resolution=16, gap_threshold=threshold)
+        ref_thresholds, ref_flagged, ref_min = reference_scan_grid(model, 16, threshold)
+        assert scan.gap_threshold == ref_thresholds
+        assert scan.flagged == ref_flagged
+        for g, cells in scan.flagged.items():
+            assert all(type(i) is int for cell in cells for i in cell)
+            got = scan.cell_min_gap[g]
+            assert list(got) == list(ref_min[g])
+            assert np.array(list(got.values())).tobytes() == np.array(
+                list(ref_min[g].values())).tobytes()
+        assert sum(map(len, scan.flagged.values())) > 0
 
 
 class TestRefinePoint:

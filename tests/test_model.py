@@ -205,6 +205,24 @@ class TestKPoint:
         r = reduce_torus(k)
         assert np.all(r >= -math.pi) and np.all(r < math.pi)
 
+    def test_reduce_torus_bitwise_remainder(self):
+        """The fmod form equals ``(k + pi) % 2 pi - pi`` bit for bit."""
+        two_pi = 2 * math.pi
+        special = [0.0, -0.0, math.pi, -math.pi, np.nextafter(math.pi, 0),
+                   np.nextafter(-math.pi, -4), two_pi, -two_pi, 7 * two_pi,
+                   -3 * two_pi, 1e17, -3e300, math.nan, math.inf, -math.inf]
+        k = np.concatenate([special, RNG.uniform(-20, 20, 3000),
+                            RNG.normal(scale=1e12, size=300)])
+        with np.errstate(invalid="ignore"):  # +-inf has no remainder
+            got = reduce_torus(k)
+            expected = (k + math.pi) % two_pi - math.pi
+        assert got.tobytes() == expected.tobytes()
+        assert np.isnan(got[len(special) - 3 : len(special)]).all()
+        assert got[0] == got[1] == 0.0 and not np.signbit(got[1])
+        for x in map(np.float64, (-0.0, math.pi, -7.5)):  # 0-d and (3,) inputs keep their shape
+            assert reduce_torus(x).tobytes() == ((x + math.pi) % two_pi - math.pi).tobytes()
+        assert reduce_torus((1.0, 4.0, -4.0)).shape == (3,)
+
 
 class TestConfig:
     def test_round_trip(self, tmp_path, nodal_loop2):

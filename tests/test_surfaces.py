@@ -1,11 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import bandtopo as bt
 from bandtopo.exceptions import SurfaceError
-from bandtopo.surfaces import SLICE, SPHERE, TUBE, ClosedSurface, LoopPath, loop_clearance
+from bandtopo.invariants import frames_at
+from bandtopo.model import reduce_torus
+from bandtopo.surfaces import (
+    SLICE,
+    SPHERE,
+    TUBE,
+    ClosedSurface,
+    LoopPath,
+    _solid_angles,
+    loop_clearance,
+)
 
 from conftest import (
     reference_loop_clearance,
@@ -218,6 +229,99 @@ class TestNonFinite:
         with pytest.raises(SurfaceError, match="non-finite gap"):
             bt.validate(s, weyl2)
         assert s.min_gap_on_surface is None
+
+    def test_validate_nan_gap_keeps_no_frames(self, weyl2):
+        s = bt.sphere_around([0.5, 0.5, 0.5], 0.3, 8, 8)
+        s.points[3] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SurfaceError, match="non-finite gap"):
+                bt.validate(s, weyl2)
+        assert s.vertex_frames is None
+
+
+def unique_grid_by_sorting(grid, poles=False):
+    """The np.unique form of ``_unique_grid``: rank the first grid slot of
+    each identification class."""
+    n_u, n_v = grid.shape[0] - 1, grid.shape[1] - 1
+    iu, iv = np.indices(grid.shape[:2])
+    first_u, first_v = iu % n_u, iv % n_v
+    if poles:
+        first_u[:, [0, n_v]], first_v = 0, iv
+    first = np.ravel_multi_index((first_u, first_v), iu.shape)
+    slots, index_map = np.unique(first, return_inverse=True)
+    return grid.reshape(-1, 3)[slots], index_map.reshape(iu.shape)
+
+
+def solid_angles_by_cross(a, b, c):
+    """The np.cross / np.sum form of ``_solid_angles``."""
+    num = np.sum(a * np.cross(b, c), axis=-1)
+    den = 1.0 + np.sum(a * b, axis=-1) + np.sum(b * c, axis=-1) + np.sum(c * a, axis=-1)
+    return 2.0 * np.arctan2(num, den)
+
+
+class TestBitwiseGeometryKernels:
+    @pytest.mark.parametrize("n_u, n_v", [(64, 64), (5, 7), (3, 3)])
+    def test_unique_grid_matches_sorting(self, nodal_loop2_locus, n_u, n_v):
+        for s in (
+            bt.sphere_around([0.1, -0.3, 0.7], 0.4, n_u, n_v),
+            bt.tube_around(nodal_loop2_locus.loops[0], 0.15, n_u, n_v),
+            bt.slice_torus("y", -0.4, n_u, n_v),
+        ):
+            points, index_map = unique_grid_by_sorting(s.grid, poles=s.kind == SPHERE)
+            assert s.points.dtype == points.dtype and s.points.shape == points.shape
+            assert s.points.tobytes() == points.tobytes()
+            assert s.index_map.dtype == index_map.dtype
+            assert np.array_equal(s.index_map, index_map)
+            # the points own their memory: editing one leaves the grid alone
+            assert not np.shares_memory(s.points, s.grid)
+
+    def test_solid_angles_match_cross_form(self, nodal_loop2_locus):
+        rng = np.random.default_rng(3)
+        unit = rng.normal(size=(3, 4000, 3))
+        unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+        a, b, c = unit
+        assert _solid_angles(a, b, c).tobytes() == solid_angles_by_cross(a, b, c).tobytes()
+        s = bt.tube_around(nodal_loop2_locus.loops[0], 0.15, 24, 16)
+        vecs = s.points - np.array([0.3, 0.1, -0.2])
+        unit = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+        a, b, c, d = unit[s.quad_vertex_ids().T]
+        for tri in ((a, b, c), (a, c, d)):
+            assert _solid_angles(*tri).tobytes() == solid_angles_by_cross(*tri).tobytes()
+
+
+class TestValidateFrames:
+    """``validate`` keeps the gauge-fixed vertex frames of its eigensolve."""
+
+    @pytest.fixture()
+    def cases(self, weyl2, four_band, four_band_locus, four_band_lattice):
+        loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
+        return [
+            (weyl2, bt.sphere_around([0, 0, math.pi / 2], 0.3, 16, 12)),
+            (weyl2, bt.slice_torus("z", 0.3, 12, 10)),
+            (four_band, bt.tube_around(loop, 0.25, 16, 16)),
+            (four_band_lattice, bt.sphere_around([math.pi / 2] * 3, 0.4, 16, 12)),
+        ]
+
+    def test_frames_equal_frames_at(self, cases):
+        for model, s in cases:
+            bt.validate(s, model)
+            kept_model, occ, frames = s.vertex_frames
+            assert kept_model is model and occ == model.occupied_count
+            ref = frames_at(model, s.points)
+            assert frames.dtype == ref.dtype and frames.tobytes() == ref.tobytes()
+
+    def test_gap_equals_sampled_spectrum(self, cases):
+        for model, s in cases:
+            sample = np.vstack([s.points, s.quad_centers().reshape(-1, 3)])
+            if model.domain.is_torus:
+                sample = reduce_torus(sample)
+            expected = float(np.min(model.direct_gap(sample)))
+            got = bt.validate(s, model)
+            if model.band_count == 2:  # the same closed form either way
+                assert got == expected
+            else:  # eigh and eigvalsh may round the last bit apart
+                assert abs(got - expected) < 1e-12
 
 
 class TestSliceTorus:
