@@ -19,7 +19,6 @@ from .model import (
     BlochModel,
     CoefficientSpec,
     Domain,
-    KPoint,
     TwoBandField,
     builtin,
     load_model_config,
@@ -36,7 +35,6 @@ from .locus import (
     refine_point,
     scan_grid,
     split_components,
-    trace_loops,
 )
 from .surfaces import (
     ClosedSurface,

@@ -280,24 +280,7 @@ def _ledger_from_file(path):
             model_name=data.get("model", "?"),
             occupied_count=int(data.get("occupied_count", 1)),
         )
-        for rec in data["entries"]:
-            ledger.entries.append(
-                LedgerEntry(
-                    id=rec["id"],
-                    kind=rec["kind"],
-                    gap_index=int(rec.get("gap_index", 1)),
-                    position=rec.get("position"),
-                    chirality=rec.get("chirality"),
-                    chirality_residual=rec.get("chirality_residual"),
-                    berry_w1=rec.get("berry_w1"),
-                    berry_phase=rec.get("berry_phase"),
-                    berry_residual=rec.get("berry_residual"),
-                    w2=rec.get("w2"),
-                    w2_crossings=rec.get("w2_crossings"),
-                    surface_id=rec.get("surface_id"),
-                    notes=rec.get("notes", ""),
-                )
-            )
+        ledger.entries.extend(LedgerEntry.from_record(rec) for rec in data["entries"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed ledger file {path}: {exc!r}") from exc
     return ledger

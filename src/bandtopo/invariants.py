@@ -30,7 +30,6 @@ from .surfaces import SLICE, SPHERE, slice_torus, validate
 
 CHERN_RESIDUAL_TOL = 0.01
 DEGREE_RESIDUAL_TOL = 0.05
-BERRY_QUANTIZATION_TOL = 1e-3
 W2_FLAT_TOL = 1e-5
 
 

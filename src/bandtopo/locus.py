@@ -72,10 +72,6 @@ class ScanGrid:
     def cell_center(self, idx):
         return self.origin + self.spacing * (np.asarray(idx, dtype=float) + 0.5)
 
-    @property
-    def n_cells(self):
-        return self.resolution
-
 
 @dataclass
 class ScanResult:
@@ -111,7 +107,7 @@ def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None):
     min_gaps = {}
     for g in gaps:
         gap = model.gap_of(spectrum, g)
-        n = grid.n_cells
+        n = grid.resolution
         # corner (di, dj, dl) of every cell as a view; the torus wraps its last layer
         corners = np.pad(gap, (0, 1), mode="wrap") if grid.torus else gap
         mins = np.full((n, n, n), np.inf)
@@ -774,7 +770,7 @@ def _resolve_clusters(model, scan, step_factor, vertex_tol):
     grid = scan.grid
     items = []
     for g in sorted(scan.flagged):
-        for cluster in _cluster_cells(scan.flagged[g], grid.n_cells, grid.torus):
+        for cluster in _cluster_cells(scan.flagged[g], grid.resolution, grid.torus):
             item = _classify_cluster(
                 model, grid, cluster, g, step_factor, vertex_tol,
                 _cluster_gap_bound(scan, cluster, g),
@@ -786,12 +782,6 @@ def _resolve_clusters(model, scan, step_factor, vertex_tol):
 
 def _of_kind(items, kind):
     return [item for item in items if isinstance(item, kind)]
-
-
-def trace_loops(model, scan, step_factor=0.6, vertex_tol=VERTEX_TOL):
-    """Loops and open arcs of a scan's curve-like clusters (see _resolve_clusters)."""
-    items = _resolve_clusters(model, scan, step_factor, vertex_tol)
-    return _of_kind(items, NodalLoop), _of_kind(items, OpenArc)
 
 
 def _seed_fd(spacing):

@@ -1,18 +1,24 @@
 """Bloch Hamiltonians on the 3-torus and on continuum boxes.
 
-Models are immutable after construction and their evaluators are pure, so
-they are safe to share across threads.  Evaluation is vectorized: every
-entry point accepts a single k-point of shape ``(3,)`` or a batch of shape
-``(..., 3)`` and returns arrays with matching leading dimensions.
+Models are immutable after construction and their evaluators are pure.
+Evaluation is vectorized: every entry point accepts a single k-point of
+shape ``(3,)`` or a batch of shape ``(..., 3)`` and returns arrays with
+matching leading dimensions.
 
-Two-band models H = h0 + h . sigma are not evaluated as matrices: each
-projects its terms on the Paulis once, at construction, and its spectrum
-h0 -/+ |h| and eigenvectors come in closed form from that projection.
+A model on n = 2^s bands holds one representation.  At construction its
+terms are expanded once on the 4^s Pauli words, which span every n x n
+matrix, so the expansion is exact: each word P carries the coefficients of
+the terms M with tr(P M) / n != 0, that weight folded into their
+amplitudes.  H(k) sums the words and ``to_config`` writes them.  A
+two-band model H = h0 + h . sigma takes its I, X, Y and Z words as h0 and
+h, and its spectrum h0 -/+ |h| and eigenvectors come in closed form.
 Models with more bands assemble H(k) and call the LAPACK eigensolver.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,6 +31,8 @@ TWO_PI = 2.0 * math.pi
 
 HERMITICITY_TOL = 1e-12
 REALITY_TOL = 1e-12
+# Pauli weights at or below this are rounding noise of an absent word
+WORD_WEIGHT_TOL = 1e-14
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -44,6 +52,16 @@ def pauli_word(word):
     return mat
 
 
+@functools.cache
+def _pauli_basis(sites):
+    """The 4^sites Pauli words in IXYZ-lexicographic order, and their
+    matrices stacked to shape (4^sites, 2^sites, 2^sites)."""
+    words = tuple("".join(w) for w in itertools.product(PAULI, repeat=sites))
+    mats = np.stack([pauli_word(w) for w in words])
+    mats.flags.writeable = False
+    return words, mats
+
+
 def reduce_torus(coords):
     """Reduce torus momenta to the fundamental domain [-pi, pi)^3.
 
@@ -57,6 +75,17 @@ def reduce_torus(coords):
 def torus_delta(a, b):
     """Shortest displacement a - b on the torus, componentwise in [-pi, pi)."""
     return reduce_torus(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+
+
+def _integer(value, what):
+    """``value`` as an int; ConfigError unless it is a whole number."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -74,18 +103,17 @@ class Domain:
         if self.kind not in ("torus", "box"):
             raise ConfigError(f"unknown domain kind {self.kind!r}")
         if self.kind == "box":
-            if self.extent is None or self.extent <= 0:
-                raise ConfigError("box domain requires a positive extent")
+            if self.extent is None or not (math.isfinite(self.extent) and self.extent > 0):
+                raise ConfigError("box domain requires a finite positive extent")
 
     @property
     def is_torus(self):
         return self.kind == "torus"
 
-    def contains(self, k, margin=0.0):
+    def contains(self, k):
         if self.is_torus:
             return np.ones(np.shape(k)[:-1], dtype=bool) if np.ndim(k) > 1 else True
-        inside = np.all(np.abs(np.asarray(k, dtype=float)) <= self.extent - margin + 1e-12, axis=-1)
-        return inside
+        return np.all(np.abs(np.asarray(k, dtype=float)) <= self.extent + 1e-12, axis=-1)
 
     def check(self, k):
         if self.is_torus:
@@ -104,47 +132,8 @@ class Domain:
 TORUS = Domain("torus")
 
 
-@dataclass(frozen=True)
-class KPoint:
-    """A momentum-space point with its domain convention.
-
-    Torus points are reduced to [-pi, pi)^3 before hashing and comparison.
-    """
-
-    coords: tuple
-    domain: Domain = TORUS
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.coords)
-        if len(c) != 3:
-            raise ValueError("KPoint needs exactly 3 coordinates")
-        object.__setattr__(self, "coords", c)
-
-    def reduced(self):
-        if self.domain.is_torus:
-            return np.array(reduce_torus(self.coords))
-        return np.array(self.coords, dtype=float)
-
-    def _key(self):
-        return tuple(np.round(self.reduced(), 12))
-
-    def __eq__(self, other):
-        if not isinstance(other, KPoint):
-            return NotImplemented
-        return self.domain.kind == other.domain.kind and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((self.domain.kind, self._key()))
-
-    def __array__(self, dtype=None, copy=None):
-        arr = np.array(self.coords, dtype=dtype or float)
-        return arr
-
-
 def as_k_array(k):
-    """Coerce a KPoint / sequence / array to a float array of shape (..., 3)."""
-    if isinstance(k, KPoint):
-        k = k.coords
+    """Coerce a sequence or array to a float array of shape (..., 3)."""
     arr = np.asarray(k, dtype=float)
     if arr.shape[-1] != 3:
         raise ValueError(f"expected 3 momentum components, got shape {arr.shape}")
@@ -157,7 +146,8 @@ class CoefficientSpec:
     Each entry is ``(kind, nvec, amplitude)`` with kind in {"cos", "sin",
     "poly"}: ``cos`` and ``sin`` use the integer harmonic vector n in
     ``a*cos(n.k)`` / ``a*sin(n.k)``; ``poly`` contributes the monomial
-    ``a * kx^n0 * ky^n1 * kz^n2`` (continuum models only).
+    ``a * kx^n0 * ky^n1 * kz^n2`` (continuum models only).  Amplitudes must
+    be finite, n whole numbers and monomial exponents non-negative.
     """
 
     def __init__(self, entries):
@@ -165,10 +155,15 @@ class CoefficientSpec:
         for kind, nvec, amp in entries:
             if kind not in ("cos", "sin", "poly"):
                 raise ConfigError(f"unknown coefficient kind {kind!r}")
-            nvec = tuple(int(v) for v in nvec)
+            nvec = tuple(_integer(v, "harmonic/exponent entry") for v in nvec)
             if len(nvec) != 3:
                 raise ConfigError("harmonic/exponent vector must have 3 entries")
-            cleaned.append((kind, nvec, float(amp)))
+            if kind == "poly" and min(nvec) < 0:
+                raise ConfigError(f"monomial exponents must be non-negative, got {nvec}")
+            amp = float(amp)
+            if not math.isfinite(amp):
+                raise ConfigError(f"coefficient amplitude must be finite, got {amp}")
+            cleaned.append((kind, nvec, amp))
         self.entries = tuple(cleaned)
 
     def __call__(self, k):
@@ -213,7 +208,9 @@ class BlochModel:
     ``terms`` is a tuple of ``(CoefficientSpec, matrix)`` pairs; the
     Hamiltonian is the coefficient-weighted sum of the (constant) matrices.
     ``reality`` marks space-time-inversion-symmetric models, whose matrices
-    are real symmetric in the chosen basis.
+    are real symmetric in the chosen basis.  ``band_count`` must be a power
+    of two: the terms are expanded on its Pauli words (see the module
+    docstring).
     """
 
     name: str
@@ -224,42 +221,64 @@ class BlochModel:
     terms: tuple = field(repr=False)
 
     def __post_init__(self):
-        if self.band_count < 1:
+        n = self.band_count
+        if n < 1:
             raise ConfigError("band_count must be positive")
-        if not (0 < self.occupied_count < self.band_count):
+        if not (0 < self.occupied_count < n):
             raise ConfigError("occupied_count must satisfy 0 < occ < band_count")
+        sites = n.bit_length() - 1
+        if n != 2**sites:
+            raise ConfigError(f"band_count {n} is not a power of two (no Pauli-word basis)")
         for coeff, mat in self.terms:
-            if mat.shape != (self.band_count, self.band_count):
+            if np.shape(mat) != (n, n):
                 raise ConfigError("term matrix size does not match band_count")
-            if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-                raise ConfigError("term matrix is not Hermitian")
-            if self.reality and np.max(np.abs(mat.imag)) > REALITY_TOL:
-                raise ConfigError("reality flag set but term matrix has imaginary entries")
-            if not self.domain.is_torus:
-                continue
-            if not coeff.is_trigonometric:
+            if self.domain.is_torus and not coeff.is_trigonometric:
                 raise ConfigError("torus models require trigonometric coefficients")
-        pauli = _pauli_projection(self) if self.band_count == 2 else None
+        mats = np.reshape([mat for _, mat in self.terms], (-1, n, n))
+        if np.any(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))) > HERMITICITY_TOL):
+            raise ConfigError("term matrix is not Hermitian")
+        if self.reality:
+            if np.any(np.abs(mats.imag) > REALITY_TOL):
+                raise ConfigError("reality flag set but term matrix has imaginary entries")
+            mats = mats.real
+        words, basis = _pauli_basis(sites)
+        # tr(P M) / n for every term M (rows) and word P (columns)
+        weights = np.einsum("wij,tji->tw", basis, mats).real / n
+        entries = {}  # word index -> folded entries, in order of first use
+        for (coeff, _), row in zip(self.terms, weights):
+            for w in np.flatnonzero(np.abs(row) > WORD_WEIGHT_TOL):
+                entries.setdefault(w, []).extend(
+                    (kind, nvec, amp * row[w]) for kind, nvec, amp in coeff.entries
+                )
+        expansion = tuple(
+            (words[w], CoefficientSpec(e), basis[w].real if self.reality else basis[w])
+            for w, e in entries.items()
+        )
+        object.__setattr__(self, "_words", expansion)
+        pauli = None
+        if n == 2:
+            by_word = {word: coeff for word, coeff, _ in expansion}
+            h0, hx, hy, hz = (by_word.get(p, CoefficientSpec([])) for p in PAULI)
+            pauli = (h0, TwoBandField([hx, hy, hz], domain=self.domain))
         object.__setattr__(self, "_pauli", pauli)
 
     # -- evaluation ------------------------------------------------------
 
     def hamiltonian(self, k):
-        """Evaluate H(k). Accepts shape (3,) or (..., 3)."""
+        """Evaluate H(k), the sum of the Pauli words. Accepts shape (3,) or (..., 3)."""
         k = as_k_array(k)
         self.domain.check(k)
         dtype = float if self.reality else complex
         shape = k.shape[:-1] + (self.band_count, self.band_count)
         out = np.zeros(shape, dtype=dtype)
-        for coeff, mat in self.terms:
-            m = mat.real if self.reality else mat
-            out = out + coeff(k)[..., None, None] * m
+        for _, coeff, mat in self._words:
+            out = out + coeff(k)[..., None, None] * mat
         return out
 
     def spectrum(self, k):
         """Ascending eigenvalues of H(k); shape (..., band_count).
 
-        Two-band models return h0 -/+ |h| from their Pauli projection."""
+        Two-band models return h0 -/+ |h| from their I, X, Y and Z words."""
         if self._pauli is None:
             return np.linalg.eigvalsh(self.hamiltonian(k))
         return self._two_band(k)[0]
@@ -297,8 +316,7 @@ class BlochModel:
         return None if self._pauli is None else self._pauli[1]
 
     def _two_band(self, k):
-        """Energies h0 -/+ |h|, h and |h| (as ``TwoBandField.norm``) at k,
-        from the Pauli projection."""
+        """Energies h0 -/+ |h|, h and |h| (as ``TwoBandField.norm``) at k."""
         k = as_k_array(k)
         self.domain.check(k)
         identity, fld = self._pauli
@@ -310,7 +328,6 @@ class BlochModel:
     # -- serialization -----------------------------------------------------
 
     def to_config(self):
-        words = _term_words(self)
         return {
             "schema_version": 1,
             "name": self.name,
@@ -318,25 +335,10 @@ class BlochModel:
             "occupied_count": self.occupied_count,
             "reality": self.reality,
             "domain": self.domain.to_dict(),
-            "terms": words,
+            "terms": [
+                {"pauli": word, "coeff": coeff.to_dict()} for word, coeff, _ in self._words
+            ],
         }
-
-
-def _pauli_projection(model):
-    """(h0, h): the I and (X, Y, Z) coefficient specs of a two-band model,
-    with each term's Pauli weights folded into its amplitudes."""
-    comps = []
-    for letter in "IXYZ":
-        entries = []
-        for coeff, mat in model.terms:
-            m = mat.real if model.reality else mat
-            weight = np.trace(m @ PAULI[letter]).real / 2.0
-            if abs(weight) > 1e-14:
-                entries.extend(
-                    (kind, nvec, amp * weight) for kind, nvec, amp in coeff.entries
-                )
-        comps.append(CoefficientSpec(entries))
-    return comps[0], TwoBandField(comps[1:], domain=model.domain)
 
 
 def _two_band_vectors(h, norm, real):
@@ -369,37 +371,6 @@ def fix_gauge(frames):
     lead = np.take_along_axis(frames, idx[..., None, :], axis=-2)[..., 0, :]
     phase = lead / np.where(np.abs(lead) < 1e-300, 1.0, np.abs(lead))
     return frames * np.conj(phase)[..., None, :]
-
-
-def _term_words(model):
-    """Express model terms as Pauli words when the size is a power of two;
-    a scaled word's weight is folded into the coefficient amplitudes."""
-    n = model.band_count
-    sites = int(round(math.log2(n)))
-    if 2**sites != n:
-        raise ConfigError("config serialization needs a power-of-two band count")
-    words = []
-    for coeff, mat in model.terms:
-        word, weight = _match_pauli_word(mat, sites)
-        scaled = CoefficientSpec([(kind, nvec, amp * weight) for kind, nvec, amp in coeff.entries])
-        words.append({"pauli": word, "coeff": scaled.to_dict()})
-    return words
-
-
-def _match_pauli_word(mat, sites):
-    """The Pauli word P and real weight w with mat = w * P."""
-    letters = "IXYZ"
-    for idx in range(4**sites):
-        word = ""
-        j = idx
-        for _ in range(sites):
-            word = letters[j % 4] + word
-            j //= 4
-        cand = pauli_word(word)
-        weight = float(np.trace(mat @ cand.conj().T).real / cand.shape[0])
-        if abs(weight) > 1e-12 and np.max(np.abs(mat - weight * cand)) < 1e-12:
-            return word, weight
-    raise ConfigError("term matrix is not proportional to a single Pauli word")
 
 
 class TwoBandField:
@@ -572,11 +543,14 @@ def model_from_config(data):
         for term in data["terms"]:
             coeff = CoefficientSpec.from_dict(term["coeff"])
             terms.append((coeff, pauli_word(term["pauli"])))
+        reality = data["reality"]
+        if not isinstance(reality, bool):
+            raise ConfigError(f"reality must be true or false, got {reality!r}")
         return BlochModel(
             name=str(data.get("name", "config-model")),
-            band_count=int(data["band_count"]),
-            occupied_count=int(data["occupied_count"]),
-            reality=bool(data["reality"]),
+            band_count=_integer(data["band_count"], "band_count"),
+            occupied_count=_integer(data["occupied_count"], "occupied_count"),
+            reality=reality,
             domain=domain,
             terms=tuple(terms),
         )

@@ -9,7 +9,7 @@ to zero mod 2, and slice Chern numbers jump by the enclosed chirality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,22 +48,22 @@ class LedgerEntry:
     # the W2Result with its Wilson spectrum, for CSV export; not serialized
     w2_result: object = field(default=None, repr=False, compare=False)
 
+    @classmethod
+    def _record_fields(cls):
+        return [f.name for f in fields(cls) if f.name != "w2_result"]
+
     def to_record(self):
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "gap_index": int(self.gap_index),
-            "position": self.position,
-            "chirality": self.chirality,
-            "chirality_residual": self.chirality_residual,
-            "berry_w1": self.berry_w1,
-            "berry_phase": self.berry_phase,
-            "berry_residual": self.berry_residual,
-            "w2": self.w2,
-            "w2_crossings": self.w2_crossings,
-            "surface_id": self.surface_id,
-            "notes": self.notes,
-        }
+        rec = {name: getattr(self, name) for name in self._record_fields()}
+        rec["gap_index"] = int(self.gap_index)
+        return rec
+
+    @classmethod
+    def from_record(cls, rec):
+        """The entry a ``to_record`` dict describes.  Absent fields take
+        their defaults, and ``gap_index`` defaults to 1."""
+        kwargs = {name: rec[name] for name in cls._record_fields() if name in rec}
+        kwargs["gap_index"] = int(kwargs.get("gap_index", 1))
+        return cls(**kwargs)
 
 
 @dataclass

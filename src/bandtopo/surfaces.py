@@ -107,13 +107,6 @@ class ClosedSurface:
         quads = np.stack(cols, axis=-1).reshape(-1, 4)
         return quads if self.orientation > 0 else quads[:, ::-1]
 
-    def plaquettes(self):
-        """(iu, iv) of each row of ``quad_vertex_ids``, in row order."""
-        return np.ndindex(self.n_u, self.n_v)
-
-    def plaquette_vertex_ids(self, iu, iv):
-        return self.quad_vertex_ids()[iu * self.n_v + iv]
-
     def reversed(self):
         import copy
 

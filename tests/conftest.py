@@ -75,6 +75,17 @@ def random_two_band(seed, amplitude=0.3):
     return model_from_field(f"random-two-band-{seed}", field, reality=False)
 
 
+def reference_hamiltonian(model, k):
+    """H(k) as the per-term sum of c_t(k) M_t, in term order: the
+    evaluation before the terms were expanded on the Pauli words."""
+    k = np.asarray(k, dtype=float)
+    n = model.band_count
+    out = np.zeros(k.shape[:-1] + (n, n), dtype=float if model.reality else complex)
+    for coeff, mat in model.terms:
+        out = out + coeff(k)[..., None, None] * (mat.real if model.reality else mat)
+    return out
+
+
 def dense_zero_count(field, resolution):
     """Independent oracle: count sign-consistent zero cells of h on a dense
     grid (every component changes sign inside the cell)."""

@@ -210,6 +210,59 @@ class TestUnreadableInputs:
         assert "locus file" in capsys.readouterr().err
 
 
+class TestMalformedModelConfig:
+    """A config value that is not finite, or not whole where an integer is
+    meant, is a config error (exit 64), not a silently different model."""
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("model, key, value", [
+        ("weyl-lattice", "amplitude", NAN),
+        ("weyl-lattice", "amplitude", INF),
+        ("weyl-lattice", "amplitude", -INF),
+        ("weyl-lattice", "harmonic", [1.5, 0, 0]),
+        ("weyl-lattice", "occupied_count", 1.7),
+        ("weyl-lattice", "reality", "false"),
+        ("four-band-linked", "harmonic", [-1, 0, 0]),
+        ("four-band-linked", "extent", NAN),
+        ("four-band-linked", "extent", INF),
+    ])
+    def test_report_exit_64(self, tmp_path, capsys, model, key, value):
+        cfg = bt.builtin(model, m=2 if model == "weyl-lattice" else 1).to_config()
+        entry = cfg["terms"][0]["coeff"][0]
+        owner = {"amplitude": entry, "harmonic": entry, "occupied_count": cfg,
+                 "reality": cfg, "extent": cfg["domain"]}[key]
+        owner[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(cfg))  # NaN and Infinity tokens, as json reads them
+        code = run(["report", "--config", str(path), "--grid", "16",
+                    "--out", str(tmp_path / "out")])
+        assert code == 64
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestLedgerFileRoundTrip:
+    """``verify --ledger-file charges.json`` reads back the ledger ``charges``
+    wrote: its verify.json is byte-identical to ``verify`` on the model."""
+
+    @pytest.mark.parametrize("name, m", [("weyl-lattice", "2"), ("four-band-linked-lattice", "1")])
+    def test_verify_from_charges_file(self, tmp_path, name, m):
+        model = ["--model", name, "--param", f"m={m}", "--grid", "32", "--mesh", "48x48"]
+        assert run(["charges", *model, "--out", str(tmp_path / "c")]) == 0
+        charges = tmp_path / "c" / "charges.json"
+        entries = json.loads(charges.read_text())["entries"]
+        if name == "four-band-linked-lattice":
+            assert any(e["w2"] is not None for e in entries)
+            assert any(e["berry_w1"] is not None for e in entries)
+        direct = run(["verify", *model, "--out", str(tmp_path / "a")])
+        from_file = run(["verify", *model, "--ledger-file", str(charges),
+                         "--out", str(tmp_path / "b")])
+        assert direct == from_file
+        assert ((tmp_path / "a" / "verify.json").read_bytes()
+                == (tmp_path / "b" / "verify.json").read_bytes())
+
+
 class TestScanLink:
     def test_scan_csv(self, tmp_path):
         code = run(

@@ -1,13 +1,17 @@
 """Import graph: scipy and sympy load only in the functions that use them.
 
 Each check runs in a fresh interpreter, since this test process has already
-imported scipy through conftest.
+imported scipy through conftest.  A static check also parses the package:
+every module-level constant must be read somewhere.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import bandtopo as bt
 
@@ -59,3 +63,42 @@ def test_cohomology_loads_sparse_not_optimize(tmp_path):
     loaded = loaded_after(code, tmp_path)
     assert "scipy.sparse" in loaded
     assert not any(m.startswith("scipy.optimize") for m in loaded)
+
+
+PACKAGE = Path(bt.__file__).parent
+BENCH = PACKAGE.parents[1] / "bench"
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_module_constant_is_read():
+    """A module-level UPPER_CASE name in ``src/bandtopo`` is read by name or
+    as an attribute somewhere in the package or the benchmark: a tolerance
+    that nothing reads gates nothing."""
+    assert BENCH.is_dir()
+    package = sorted(PACKAGE.glob("*.py"))
+    defined = []
+    for path in package:
+        for node in _parse(path).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            defined += [
+                (path.name, t.id) for t in targets
+                if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)
+            ]
+    read = set()
+    for path in package + sorted(BENCH.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 20
+    assert [f"{mod}:{name}" for mod, name in defined if name not in read] == []

@@ -5,7 +5,7 @@ import pytest
 
 import bandtopo as bt
 from bandtopo.exceptions import LocusAmbiguityError, RefinementError
-from bandtopo.locus import scan_grid, split_components, trace_loops
+from bandtopo.locus import scan_grid, split_components
 from bandtopo.model import CoefficientSpec, TwoBandField, model_from_field, torus_delta
 
 from conftest import (
@@ -29,7 +29,7 @@ def reference_scan_grid(model, resolution, gap_threshold=None):
     grid = ScanGrid(model, resolution)
     pts = grid.points()
     spectrum = model.spectrum(pts.reshape(-1, 3)).reshape(pts.shape[:-1] + (-1,))
-    n = grid.n_cells
+    n = grid.resolution
     thresholds, flagged, min_gaps = {}, {}, {}
     for g in range(1, model.occupied_count + 1):
         gap = model.gap_of(spectrum, g)
@@ -62,7 +62,7 @@ def cluster_count(scan, gap_index=1):
     from bandtopo.locus import _cluster_cells
 
     return len(
-        _cluster_cells(scan.flagged[gap_index], scan.grid.n_cells, scan.grid.torus)
+        _cluster_cells(scan.flagged[gap_index], scan.grid.resolution, scan.grid.torus)
     )
 
 
@@ -150,9 +150,8 @@ class TestRefinePoint:
 
 
 class TestTraceLoops:
-    def test_nodal_loop_planar(self, nodal_loop2):
-        scan = scan_grid(nodal_loop2, resolution=32)
-        loops, arcs = trace_loops(nodal_loop2, scan)
+    def test_nodal_loop_planar(self, nodal_loop2_locus):
+        loops, arcs = nodal_loop2_locus.loops, nodal_loop2_locus.open_arcs
         assert len(loops) == 1 and not arcs
         loop = loops[0]
         assert np.max(np.abs(loop.vertices[:, 2])) < 1e-6
@@ -172,10 +171,9 @@ class TestTraceLoops:
         assert np.max(np.abs(arc.vertices[:, 1:])) < 1e-6
         assert np.max(np.abs(arc.vertices[:, 0])) > 2.5
 
-    def test_weyl_zero_loops(self, weyl2):
-        scan = scan_grid(weyl2, resolution=32)
-        loops, arcs = trace_loops(weyl2, scan)
-        assert loops == [] and arcs == []
+    def test_weyl_zero_loops(self, weyl2_locus):
+        assert weyl2_locus.loops == [] and weyl2_locus.open_arcs == []
+        assert len(weyl2_locus.points) == 2
 
     def test_nodal_surface_is_ambiguous(self):
         # gap vanishes on the 2D sheets cos kz = 0.3: dimension must be

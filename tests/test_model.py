@@ -13,7 +13,6 @@ from bandtopo.model import (
     BlochModel,
     CoefficientSpec,
     Domain,
-    KPoint,
     TwoBandField,
     model_from_config,
     model_from_field,
@@ -21,7 +20,7 @@ from bandtopo.model import (
     reduce_torus,
 )
 
-from conftest import gapped_model, random_two_band
+from conftest import gapped_model, random_two_band, reference_hamiltonian
 
 RNG = np.random.default_rng(1234)
 
@@ -189,16 +188,7 @@ class TestInvariants:
 
 
 class TestKPoint:
-    def test_reduction(self):
-        p = KPoint((3 * math.pi, 0.0, -math.pi))
-        assert np.allclose(p.reduced(), [-math.pi, 0.0, -math.pi])
-
-    def test_equality_and_hash(self):
-        a = KPoint((math.pi / 2, 0.0, 0.0))
-        b = KPoint((math.pi / 2 + 2 * math.pi, 0.0, 0.0))
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != KPoint((0.0, 0.0, 0.0))
+    """Torus k-points reduce to the fundamental domain [-pi, pi)^3."""
 
     def test_reduce_torus_range(self):
         k = RNG.uniform(-20, 20, size=(200, 3))
@@ -547,3 +537,103 @@ class TestNoEigensolverForTwoBand:
         four = bt.builtin("four-band-linked-lattice", m=1)
         with pytest.raises(AssertionError, match="LAPACK"):
             four.spectrum(k)
+
+
+# -- Pauli-word expansion ------------------------------------------------------
+
+
+BUILTIN_PARAMS = [
+    ("weyl-lattice", 2.0), ("weyl-lattice", 1.7), ("nodal-loop-real", 2.0),
+    ("four-band-linked", 1.0), ("four-band-linked-lattice", 1.0),
+]
+EXPANDED_MODELS = {
+    **{f"{name}-{m:g}": (lambda name=name, m=m: bt.builtin(name, m=m))
+       for name, m in BUILTIN_PARAMS},
+    **{f"random-{s}": (lambda s=s: random_two_band(s)) for s in range(6)},
+}
+
+
+def word_of(mat):
+    """The Pauli word equal to ``mat``, by search over all words."""
+    sites = mat.shape[0].bit_length() - 1
+    for letters in itertools.product("IXYZ", repeat=sites):
+        if np.array_equal(pauli_word("".join(letters)), mat):
+            return "".join(letters)
+    raise AssertionError("term matrix is not a Pauli word")
+
+
+def domain_points(model, n=500):
+    ext = math.pi if model.domain.is_torus else model.domain.extent
+    return RNG.uniform(-ext, ext, size=(n, 3))
+
+
+class TestPauliExpansion:
+    """Every model is expanded once on the Pauli words of its band count."""
+
+    @pytest.mark.parametrize("name", sorted(EXPANDED_MODELS))
+    def test_hamiltonian_bitwise_per_term_sum(self, name):
+        model = EXPANDED_MODELS[name]()
+        k = domain_points(model)
+        got, ref = model.hamiltonian(k), reference_hamiltonian(model, k)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(EXPANDED_MODELS))
+    def test_config_writes_the_built_words(self, name):
+        model = EXPANDED_MODELS[name]()
+        assert model.to_config()["terms"] == [
+            {"pauli": word_of(mat), "coeff": coeff.to_dict()} for coeff, mat in model.terms
+        ]
+
+    def test_mixed_terms_round_trip(self):
+        spec = CoefficientSpec([("cos", (1, 0, 0), 1.0), ("sin", (0, 1, 1), 0.4)])
+        four = BlochModel("mixed4", 4, 2, True, TORUS,
+                          ((spec, 0.5 * pauli_word("IX") + 0.3 * pauli_word("ZZ")),))
+        k = random_k(200)
+        for model, words in ((mixed_term_model(), ["I", "X", "Z"]), (four, ["IX", "ZZ"])):
+            config = json.loads(json.dumps(model.to_config()))
+            assert [t["pauli"] for t in config["terms"]] == words
+            loaded = model_from_config(config)
+            assert loaded.to_config() == config
+            assert np.max(np.abs(loaded.hamiltonian(k) - reference_hamiltonian(model, k))) <= 1e-14
+        assert [[e["amplitude"] for e in t["coeff"]] for t in four.to_config()["terms"]] == [
+            [0.5, 0.2], [0.3, 0.4 * 0.3]
+        ]
+
+    def test_expansion_is_exact_on_a_dense_matrix(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        spec = CoefficientSpec([("cos", (1, 0, 0), 1.0), ("sin", (0, 0, 1), 0.5)])
+        model = BlochModel("dense", 4, 2, False, TORUS, ((spec, a + a.conj().T),))
+        k = random_k(200)
+        assert len(model.to_config()["terms"]) == 16
+        assert np.max(np.abs(model.hamiltonian(k) - reference_hamiltonian(model, k))) <= 1e-13
+
+    @pytest.mark.parametrize("bands", [3, 6])
+    def test_band_count_not_power_of_two(self, bands):
+        spec = CoefficientSpec([("cos", (0, 0, 0), 1.0)])
+        mat = np.diag(np.arange(bands, dtype=float))
+        with pytest.raises(ConfigError, match="power of two"):
+            BlochModel("odd", bands, 1, True, TORUS, ((spec, mat),))
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("entry", [
+        ("cos", (1, 0, 0), math.nan), ("sin", (1, 0, 0), math.inf),
+        ("poly", (1, 0, 0), -math.inf), ("cos", (1.5, 0, 0), 1.0),
+        ("cos", (math.nan, 0, 0), 1.0), ("cos", ("1", 0, 0), 1.0),
+        ("poly", (0, -1, 0), 1.0),
+    ])
+    def test_coefficient_entry_rejected(self, entry):
+        with pytest.raises(ConfigError):
+            CoefficientSpec([entry])
+
+    def test_whole_float_harmonic_accepted(self):
+        assert CoefficientSpec([("cos", (1.0, -2.0, 0.0), 1.0)]).entries == (
+            ("cos", (1, -2, 0), 1.0),
+        )
+
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_box_extent_rejected(self, extent):
+        with pytest.raises(ConfigError):
+            Domain("box", extent)

@@ -32,7 +32,7 @@ class TestSphere:
         assert s.n_u == 32 and s.n_v == 32
         # poles are single vertices: unique points = 32*31 + 2
         assert len(s.points) == 32 * 31 + 2
-        assert len(list(s.plaquettes())) == 32 * 32
+        assert s.quad_vertex_ids().shape == (32 * 32, 4)
 
     def test_solid_angle_outward(self):
         s = bt.sphere_around([0.5, -0.2, 0.1], 0.4, 24, 24)
@@ -115,7 +115,7 @@ class TestTube:
         t = bt.tube_around(loop, 0.15, 24, 24)
         # plaquette normals point away from the loop core
         iu, iv = 3, 5
-        ids = t.plaquette_vertex_ids(iu, iv)
+        ids = t.quad_vertex_ids()[iu * t.n_v + iv]
         quad = t.points[ids]
         center = quad.mean(axis=0)
         normal = np.cross(quad[1] - quad[0], quad[3] - quad[0])
@@ -403,8 +403,6 @@ class TestQuadIndexArray:
             for t in (s, s.reversed()):
                 quads = t.quad_vertex_ids()
                 assert quads.tolist() == reference_quads(t)
-                assert [t.plaquette_vertex_ids(iu, iv).tolist()
-                        for iu, iv in t.plaquettes()] == reference_quads(t)
         # a reversed twin does not change its original
         assert meshes[0].quad_vertex_ids().tolist() == reference_quads(meshes[0])
 
