@@ -42,7 +42,7 @@ from .exceptions import (
 from .invariants import chern_scan
 from .knots import linking_matrix
 from .locus import MIN_SCAN_RESOLUTION, extract_locus, split_components
-from .model import TWO_PI, builtin, load_model_config, read_json_file
+from .model import TWO_PI, _integer, builtin, load_model_config, read_json_file
 from .mvcheck import ChargeLedger, LedgerEntry, assemble_ledger, verify_ledger
 from .surfaces import MIN_MESH
 
@@ -273,23 +273,29 @@ def _export_wilson(args, ledger):
         print(f"wrote {path}")
 
 
-def _ledger_from_file(path):
+def _ledger_from_file(path, model):
+    """The ledger a ``charges.json`` file holds; ConfigError unless it is
+    well formed and was written for ``model``."""
     data = read_json_file(path, "ledger file")
     try:
         ledger = ChargeLedger(
-            model_name=data.get("model", "?"),
-            occupied_count=int(data.get("occupied_count", 1)),
+            model_name=data.get("model"),
+            occupied_count=_integer(data.get("occupied_count", 1), "ledger occupied_count"),
         )
         ledger.entries.extend(LedgerEntry.from_record(rec) for rec in data["entries"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed ledger file {path}: {exc!r}") from exc
+    if ledger.model_name != model.name:
+        raise ConfigError(
+            f"ledger file {path} is for model {ledger.model_name!r}, not {model.name!r}"
+        )
     return ledger
 
 
 def cmd_verify(args):
     model = _load_model(args)
     if args.ledger_file:
-        ledger = _ledger_from_file(args.ledger_file)
+        ledger = _ledger_from_file(args.ledger_file, model)
     else:
         _, ledger = _compute_ledger(args, model)
     verify_ledger(model, ledger, axis=args.axis)

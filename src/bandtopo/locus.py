@@ -2,17 +2,15 @@
 
 The pipeline is scan (coarse grid flagging), cluster (torus-aware connected
 components of flagged cells), classify (point-like vs curve-like), then
-refine (Newton / gap minimization) or trace (predictor-corrector marching
-along the zero curve).  Degenerate clusters fail loudly.
+refine (damped Newton) or trace (predictor-corrector marching along the
+zero curve).  Degenerate clusters fail loudly.
 
-The scan takes one spectrum of the grid (in blocks) for all gaps.  Each
-finite-difference stencil (tangent Hessian, corrector, slope probes, Newton
-Jacobian) is one batched evaluation with pointwise arithmetic, so results
-are bitwise those of one eigensolve per point.
-
-``scipy.optimize`` is imported inside ``_minimize_gap``, the multiband
-Nelder-Mead refinement, and nowhere else: most runs never reach it, and its
-import alone takes longer than a small report.
+The scan takes one spectrum of the grid (in blocks) for all gaps.  Every
+zero-finder reads one primitive, ``_crossing``: one eigensolve at k projects
+H and the analytic dH/dk onto the two crossing bands, giving a field d that
+vanishes on the locus and its Jacobian J.  One SVD of J (``_newton``) gives
+the Newton step, the curve tangent and the rank that tells points from
+curves.  No finite-difference stencil and no ``scipy.optimize`` is used.
 """
 
 from __future__ import annotations
@@ -31,12 +29,12 @@ from .model import TWO_PI, as_k_array, reduce_torus, torus_delta
 POINT_TOL = 1e-8
 VERTEX_TOL = 1e-6
 MIN_SCAN_RESOLUTION = 8
-# a two-band cluster whose seed Hessian of gap^2 has eigenvalue ratio
-# w[0]/w[-1] above this is tried as a point first, and kept only if the ratio
-# at the refined zero clears it too. Measured on the builtins and random
-# two-band models at grids 16-48: point seeds >= 0.12 and refined points
-# >= 0.16; curve seeds <= 0.035 at grid 32 (up to 0.19 at grid 16), and
-# zeros refined onto curves <= 0.0094
+# a cluster whose seed crossing Jacobian has (s_min / s_max)^2 above this is
+# tried as a point first, and kept only if the ratio at the refined zero
+# clears it too. Measured on the builtins, random two-band models and a
+# rotated nodal loop at grids 16-48: all Weyl-point seeds are >= 0.136; curve
+# seeds are exactly 0 on real models (J is 2x3) and <= 3e-34 on the rotated
+# (complex) loop
 SEED_POINT_RATIO = 0.07
 # k-points per eigensolve call of the scan: one call for the whole grid
 # raised peak memory by ~10 MB at grid 32
@@ -188,33 +186,80 @@ def _bbox_diameter(cluster):
     return float(np.max(arr.max(axis=0) - arr.min(axis=0)))
 
 
+# -- the crossing primitive ---------------------------------------------------
+
+
+def _crossing(model, k, g):
+    """The crossing of bands g and g + 1 near k, as a zero of a small field d.
+
+    Projected onto the two bands' eigenvectors at k, H is the 2x2 block
+    E + d . (sigma_z, sigma_x[, sigma_y]) with d = (-gap / 2, 0[, 0]), and
+    the same projection of dH/dk gives d's Jacobian J (one row per sigma,
+    one column per k axis).  Real models have no sigma_y part, so J is 2x3
+    for them and 3x3 otherwise.  Returns ``(gap, d, J)``.
+    """
+    energies, frames = model.eigenframes(k, occupied=g + 1)
+    pair = frames[:, g - 1 :]
+    block = np.conj(pair.T) @ model.hamiltonian_gradient(k) @ pair
+    rows = [(block[:, 0, 0] - block[:, 1, 1]).real / 2.0, block[:, 0, 1].real]
+    if not model.reality:
+        rows.append(-block[:, 0, 1].imag)
+    gap = float(energies[g] - energies[g - 1])
+    d = np.zeros(len(rows))
+    d[0] = -gap / 2.0
+    return gap, d, np.array(rows)
+
+
+def _newton(jac, d, rank):
+    """One SVD of J: the minimum-norm Newton step of J dk = -d on J's ``rank``
+    largest singular values (those above 1e-12 of the largest), the unit
+    null direction of J (the curve tangent) and the three singular values,
+    largest first (zero-padded for a 2x3 J)."""
+    u, s, vt = np.linalg.svd(jac)
+    live = np.flatnonzero(s[:rank] > 1e-12 * s[0])
+    step = -vt[live].T @ ((u[:, live].T @ d) / s[live])
+    return step, vt[-1], np.concatenate([s, np.zeros(3 - len(s))])
+
+
+def _singular_values(model, k, g):
+    _, d, jac = _crossing(model, k, g)
+    return _newton(jac, d, 3)[2]
+
+
+def _point_ratio(s):
+    """(s_min / s_max)^2 of the crossing Jacobian: the eigenvalue ratio of
+    the Hessian of gap^2, 0 where the crossing is a curve."""
+    return (s[2] / s[0]) ** 2 if s[0] > 0 else 0.0
+
+
 # -- refinement --------------------------------------------------------------
-
-
-def _gap_value(model, k, gap_index):
-    return float(model.direct_gap(np.asarray(k, dtype=float), gap_index=gap_index))
 
 
 def refine_point(model, seed, gap_index=None, tol=POINT_TOL, max_iter=60):
     """Refine a gap zero to a WeylPoint with residual gap below tol.
 
-    Two-band models use damped Newton on h(k) = 0; multiband models
-    minimize the squared gap.  Raises RefinementError on non-convergence.
+    Damped rank-3 Newton on the crossing field d of ``_crossing``: each
+    step is halved until the gap falls.  Raises RefinementError on
+    non-convergence.
     """
     g = model.occupied_count if gap_index is None else int(gap_index)
     k = np.array(as_k_array(seed), dtype=float)
-    field = model.two_band_field
-
-    gap0 = _gap_value(model, k, g)
-    if gap0 < tol:
-        return WeylPoint(_canonical_position(model, k), gap0, 0, gap_index=g)
-
-    if field is not None:
-        k, iterations = _newton_on_field(field, k, tol / 2.0, max_iter)
-    else:
-        k, iterations = _minimize_gap(model, k, g, tol, max_iter)
-
-    gap = _gap_value(model, k, g)
+    gap, d, jac = _crossing(model, k, g)
+    iterations = 0
+    while gap >= tol and iterations < max_iter:
+        step = _newton(jac, d, 3)[0]
+        for _ in range(20):
+            trial = k + step
+            if model.domain.contains(trial):
+                crossing = _crossing(model, trial, g)
+                if crossing[0] < gap:
+                    break
+            step = step / 2.0
+        else:
+            break
+        k = trial
+        gap, d, jac = crossing
+        iterations += 1
     if gap >= tol or not np.all(np.isfinite(k)):
         raise RefinementError(
             f"refinement did not reach gap < {tol:g} (residual {gap:.3e})",
@@ -229,130 +274,25 @@ def _canonical_position(model, k):
     return reduce_torus(k) if model.domain.is_torus else np.asarray(k, dtype=float)
 
 
-def _newton_on_field(field, k, htol, max_iter):
-    step_fd = 1e-6
-    dk = step_fd * np.eye(3)
-    for it in range(1, max_iter + 1):
-        h = field(k)
-        if np.linalg.norm(h) < htol:
-            return k, it - 1
-        hk = field(np.concatenate([k + dk, k - dk]))
-        jac = ((hk[:3] - hk[3:]) / (2 * step_fd)).T
-        try:
-            delta = np.linalg.solve(jac, -h)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        norm0 = np.linalg.norm(h)
-        for _ in range(20):
-            trial = k + scale * delta
-            if np.linalg.norm(field(trial)) < norm0:
-                k = trial
-                break
-            scale *= 0.5
-        else:
-            break
-    return k, max_iter
-
-
-def _minimize_gap(model, k, gap_index, tol, max_iter):
-    from scipy.optimize import minimize
-
-    def q(x):
-        return _gap_value(model, x, gap_index) ** 2
-
-    res = minimize(
-        q,
-        k,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-12,
-            "fatol": (tol / 4.0) ** 4,
-            "maxiter": 400 * max_iter,
-            "maxfev": 400 * max_iter,
-        },
-    )
-    return np.asarray(res.x, dtype=float), int(res.nit)
-
-
 # -- curve tracing ------------------------------------------------------------
 
 
-def _squared_gaps(model, pts, gap_index):
-    """Squared gaps at a batch of points, squared as Python floats: numpy's
-    ``** 2`` can differ from ``float ** 2`` in the last bit."""
-    return [float(g) ** 2 for g in model.direct_gap(pts, gap_index=gap_index)]
-
-
-_HESS_A, _HESS_B = np.triu_indices(3)
-
-
-def _gap_tangent(model, k, gap_index, fd):
-    """Unit tangent of the nodal curve from the null space of Hess(gap^2)."""
-    da = fd * np.eye(3)[_HESS_A]
-    db = fd * np.eye(3)[_HESS_B]
-    stencil = np.stack([k + da + db, k + da - db, k - da + db, k - da - db], axis=1)
-    q = np.array(_squared_gaps(model, stencil.reshape(-1, 3), gap_index)).reshape(-1, 4)
-    hess = np.empty((3, 3))
-    hess[_HESS_A, _HESS_B] = hess[_HESS_B, _HESS_A] = (
-        (q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3]) / (4 * fd * fd)
-    )
-    w, v = np.linalg.eigh(hess)
-    return v[:, 0], w
-
-
-# (u, v) offsets of the corrector's off-centre stencil, in units of its step
-_PLANE_STENCIL = np.array(
-    [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float
-)
-
-
-def _correct_to_curve(model, k, tangent, gap_index, tol, fd, max_iter=40):
-    """Pull a point onto the zero curve: Newton on gap^2 in the plane normal
-    to the tangent, re-estimating the tangent plane as the point closes in."""
-    total_it = 0
-    for _outer in range(8):
-        basis = _normal_basis(tangent)
-        for _ in range(max_iter):
-            gap = _gap_value(model, k, gap_index)
-            if gap < tol:
-                return k, total_it
-            total_it += 1
-            # finite-difference step tracks the distance to the zero so the
-            # truncation bias shrinks quadratically as the corrector closes in
-            h = float(np.clip(gap, 1e-7, fd))
-            grad = np.empty(2)
-            hess = np.empty((2, 2))
-            uv = h * _PLANE_STENCIL
-            q0 = gap**2
-            qp0, qm0, q0p, q0m, qpp, qpm, qmp, qmm = _squared_gaps(
-                model, k + uv[:, :1] * basis[0] + uv[:, 1:] * basis[1], gap_index
-            )
-            grad[0] = (qp0 - qm0) / (2 * h)
-            grad[1] = (q0p - q0m) / (2 * h)
-            hess[0, 0] = (qp0 - 2 * q0 + qm0) / (h * h)
-            hess[1, 1] = (q0p - 2 * q0 + q0m) / (h * h)
-            hess[0, 1] = hess[1, 0] = (qpp - qpm - qmp + qmm) / (4 * h * h)
-            try:
-                delta = np.linalg.solve(hess + 1e-14 * np.eye(2), -grad)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is None:
-                break
-            step = delta[0] * basis[0] + delta[1] * basis[1]
-            norm = np.linalg.norm(step)
-            if norm < 1e-14:
-                break
-            if norm > 4 * fd:
-                step = step * (4 * fd / norm)
-            k = k + step
-        else:
-            # out of steps; a break leaves k where the gap was just >= tol
-            gap = _gap_value(model, k, gap_index)
-            if gap < tol:
-                return k, total_it
-        # the plane missed the curve: re-aim with a fresh tangent estimate
-        tangent, _ = _gap_tangent(model, k, gap_index, fd)
+def _correct_to_curve(model, k, gap_index, tol, reach, max_iter=40):
+    """Pull a point onto the zero curve by rank-2 Newton, which steps normal
+    to the curve, each step at most ``reach`` long.  Returns the point and
+    the curve tangent there; a point that leaves a box domain is returned
+    as is, with tangent None."""
+    for _ in range(max_iter):
+        if not model.domain.contains(k):
+            return k, None
+        gap, d, jac = _crossing(model, k, gap_index)
+        step, tangent, _ = _newton(jac, d, 2)
+        if gap < tol:
+            return k, tangent
+        norm = np.linalg.norm(step)
+        if norm < 1e-14:
+            break
+        k = k + step * min(1.0, reach / norm)
     raise RefinementError(
         f"curve corrector stalled at gap {gap:.3e}", residual=gap, position=k
     )
@@ -376,16 +316,10 @@ def _cross(a, b):
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def _march_curve(model, start, gap_index, step, tol, torus, box_extent):
-    """March along the zero curve; returns (vertices, closed, winding)."""
-    fd = max(step / 8.0, 1e-5)
-    k = np.array(start, dtype=float)
-    tangent, _ = _gap_tangent(model, k, gap_index, fd)
-    direction = tangent / np.linalg.norm(tangent)
-
-    def inside(p):
-        return torus or np.all(np.abs(p) <= box_extent + 1e-9)
-
+def _march_curve(model, start, direction, gap_index, step, tol):
+    """March along the zero curve, steering by the last chord; returns
+    (vertices, closed, winding)."""
+    torus = model.domain.is_torus
     max_steps = int(60.0 * TWO_PI / step)
 
     def march(k0, d0):
@@ -393,14 +327,10 @@ def _march_curve(model, start, gap_index, step, tol, torus, box_extent):
         d = np.array(d0)
         for _ in range(max_steps):
             pred = verts[-1] + step * d
-            if not inside(pred):
+            if not model.domain.contains(pred):
                 return verts, False, None
-            t, _w = _gap_tangent(model, pred, gap_index, fd)
-            t = t / np.linalg.norm(t)
-            if np.dot(t, d) < 0:
-                t = -t
-            cur, _ = _correct_to_curve(model, pred, t, gap_index, tol, fd)
-            if not inside(cur):
+            cur, tangent = _correct_to_curve(model, pred, gap_index, tol, 0.5 * step)
+            if tangent is None:
                 return verts, False, None
             d_new = cur - verts[-1]
             n_new = np.linalg.norm(d_new)
@@ -419,11 +349,11 @@ def _march_curve(model, start, gap_index, step, tol, torus, box_extent):
                 return verts[:-1], True, winding.astype(int)
         raise RefinementError("curve tracing exceeded maximum length")
 
-    verts, closed, winding = march(k, direction)
+    verts, closed, winding = march(start, direction)
     if closed:
         return np.array(verts), True, winding
     # open arc: march the other way from the start and join
-    back, closed_back, _ = march(k, -direction)
+    back, closed_back, _ = march(start, -direction)
     if closed_back:
         return np.array(back), True, np.zeros(3, dtype=int)
     verts = list(reversed(back[1:])) + verts
@@ -572,7 +502,8 @@ def split_components(locus):
 def _canonicalize_loop(vertices, torus):
     """Fix the traversal convention: start at the lexicographic minimum and
     orient so the initial tangent has a positive leading component
-    (x, then y, then z tie-break)."""
+    (x, then y, then z tie-break).  Returns the vertices and whether their
+    order was reversed."""
     verts = np.asarray(vertices)
     if torus:
         reduced = reduce_torus(verts)
@@ -593,7 +524,7 @@ def _canonicalize_loop(vertices, torus):
             break
     if flip:
         verts = np.roll(verts[::-1], 1, axis=0)
-    return verts
+    return verts, flip
 
 
 def _cluster_seed(model, grid, cluster, gap_index):
@@ -609,29 +540,25 @@ def _cluster_seed(model, grid, cluster, gap_index):
 def _point_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_bound,
                         min_ratio=1e-3):
     point = refine_point(model, seed, gap_index=gap_index)
-    # a resolved isolated zero has a full-rank squared-gap Hessian
-    _, eigs = _gap_tangent(model, point.position, gap_index, max(grid.spacing / 8, 1e-5))
-    if eigs[-1] <= 0 or eigs[0] / eigs[-1] < min_ratio:
+    # a resolved isolated zero has a full-rank crossing Jacobian
+    s = _singular_values(model, point.position, gap_index)
+    if _point_ratio(s) < min_ratio:
         raise LocusAmbiguityError(
             f"zero near {np.round(point.position, 4).tolist()} is not point-like "
             "(rank-deficient crossing); increase the scan resolution"
         )
-    slope = math.sqrt(max(eigs[0], 1e-30) / 2.0)
-    limit = _coverage_limit(grid, gap_bound, slope)
+    limit = _coverage_limit(grid, gap_bound, 2.0 * s[2])
     _check_coverage(np.asarray([point.position]), centers, grid, cluster, gap_index, limit)
     return point
 
 
-def _curve_from_cluster(model, grid, cluster, centers, seed, seed_tangent, gap_index,
-                        step_factor, vertex_tol, gap_bound):
+def _curve_from_cluster(model, grid, cluster, centers, seed, gap_index, step_factor,
+                        vertex_tol, gap_bound):
     step = step_factor * grid.spacing
-    corrected, _ = _correct_to_curve(
-        model, seed, seed_tangent, gap_index, vertex_tol, _seed_fd(grid.spacing)
-    )
-    verts, closed, winding = _march_curve(
-        model, corrected, gap_index, step, vertex_tol,
-        grid.torus, None if grid.torus else model.domain.extent,
-    )
+    corrected, tangent = _correct_to_curve(model, seed, gap_index, vertex_tol, 0.4 * grid.spacing)
+    if tangent is None:
+        raise RefinementError("curve corrector left the box", position=corrected)
+    verts, closed, winding = _march_curve(model, corrected, tangent, gap_index, step, vertex_tol)
     slope_min, slope_max = _transverse_slope(model, verts, gap_index, grid.spacing)
     if slope_min < max(1e-4, 0.03 * slope_max):
         raise LocusAmbiguityError(
@@ -649,13 +576,13 @@ def _curve_from_cluster(model, grid, cluster, centers, seed, seed_tangent, gap_i
         )
     )
     if closed:
-        canon = _canonicalize_loop(verts, grid.torus)
+        canon, flipped = _canonicalize_loop(verts, grid.torus)
         return NodalLoop(
             vertices=canon,
             orientation=1,
             max_vertex_gap=max_gap,
             gap_index=gap_index,
-            winding=tuple(int(w) for w in winding),
+            winding=tuple(-int(w) if flipped else int(w) for w in winding),
         )
     ends = sorted([tuple(np.round(verts[0], 6)), tuple(np.round(verts[-1], 6))])
     if tuple(np.round(verts[0], 6)) != ends[0]:
@@ -705,13 +632,11 @@ def _classify_cluster(model, grid, cluster, gap_index, step_factor, vertex_tol,
     """Resolve one flagged-cell cluster into a point, loop, arc, or None
     (spurious near-gap region with no actual zero).
 
-    A two-band cluster whose seed Hessian of gap^2 has a smallest-to-largest
-    eigenvalue ratio above SEED_POINT_RATIO is tried as a point first, and
-    kept only if the Hessian at the refined zero clears the same ratio.  Any
-    other cluster, and a point attempt that fails, goes through the curve
-    tracer and then the point refinement.  Multiband clusters always trace
-    first: their point refinement is Nelder-Mead on the gap, which drifts
-    along a nodal curve for thousands of eigensolves before it stops.
+    A cluster whose seed crossing Jacobian has (s_min / s_max)^2 above
+    SEED_POINT_RATIO is tried as a point first, and kept only if the
+    Jacobian at the refined zero clears the same ratio.  Any other cluster,
+    and a point attempt that fails, goes through the curve tracer and then
+    the point refinement.
     """
     centers, seed, _ = _cluster_seed(model, grid, cluster, gap_index)
     as_point = functools.partial(
@@ -723,8 +648,7 @@ def _classify_cluster(model, grid, cluster, gap_index, step_factor, vertex_tol,
         except RefinementError:
             # refinement bottomed out above tolerance: near-gap but no zero
             return None
-    tangent, eigs = _gap_tangent(model, seed, gap_index, _seed_fd(grid.spacing))
-    if model.band_count == 2 and eigs[-1] > 0 and eigs[0] / eigs[-1] > SEED_POINT_RATIO:
+    if _point_ratio(_singular_values(model, seed, gap_index)) > SEED_POINT_RATIO:
         try:
             return as_point(SEED_POINT_RATIO)
         except (RefinementError, LocusAmbiguityError):
@@ -734,8 +658,8 @@ def _classify_cluster(model, grid, cluster, gap_index, step_factor, vertex_tol,
         # those always propagate; refinement errors mean no zero was reached
         # and the cluster may still be an isolated point or spurious
         return _curve_from_cluster(
-            model, grid, cluster, centers, seed, tangent, gap_index, step_factor,
-            vertex_tol, gap_bound,
+            model, grid, cluster, centers, seed, gap_index, step_factor, vertex_tol,
+            gap_bound,
         )
     except RefinementError as curve_exc:
         try:
@@ -782,11 +706,6 @@ def _resolve_clusters(model, scan, step_factor, vertex_tol):
 
 def _of_kind(items, kind):
     return [item for item in items if isinstance(item, kind)]
-
-
-def _seed_fd(spacing):
-    """Finite-difference step of the seed Hessian and the seed corrector."""
-    return max(spacing / 10.0, 1e-5)
 
 
 def _check_coverage(verts, centers, grid, cluster, gap_index, limit):

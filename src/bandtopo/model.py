@@ -13,6 +13,8 @@ amplitudes.  H(k) sums the words and ``to_config`` writes them.  A
 two-band model H = h0 + h . sigma takes its I, X, Y and Z words as h0 and
 h, and its spectrum h0 -/+ |h| and eigenvectors come in closed form.
 Models with more bands assemble H(k) and call the LAPACK eigensolver.
+``hamiltonian_gradient`` sums the same words with the analytic gradients of
+their coefficients, so dH/dk needs no finite differences.
 """
 
 from __future__ import annotations
@@ -183,6 +185,28 @@ class CoefficientSpec:
                 out = out + term
         return out
 
+    def gradient(self, k):
+        """The gradient of the scalar in k; shape (..., 3)."""
+        k = np.asarray(k, dtype=float)
+        out = np.zeros(k.shape)
+        for kind, nvec, amp in self.entries:
+            n = np.array(nvec, dtype=float)
+            if kind == "cos":
+                out = out - (amp * np.sin(k @ n))[..., None] * n
+            elif kind == "sin":
+                out = out + (amp * np.cos(k @ n))[..., None] * n
+            else:
+                for axis, p in enumerate(nvec):
+                    if not p:
+                        continue
+                    term = np.full(k.shape[:-1], amp * p)
+                    for other, q in enumerate(nvec):
+                        power = q - (other == axis)
+                        if power:
+                            term = term * k[..., other] ** power
+                    out[..., axis] += term
+        return out
+
     @property
     def is_trigonometric(self):
         return all(kind != "poly" for kind, _, _ in self.entries)
@@ -273,6 +297,18 @@ class BlochModel:
         out = np.zeros(shape, dtype=dtype)
         for _, coeff, mat in self._words:
             out = out + coeff(k)[..., None, None] * mat
+        return out
+
+    def hamiltonian_gradient(self, k):
+        """dH/dk_i at k, shape (..., 3, band_count, band_count): the Pauli
+        words weighted by the gradients of their coefficients."""
+        k = as_k_array(k)
+        self.domain.check(k)
+        dtype = float if self.reality else complex
+        shape = k.shape[:-1] + (3, self.band_count, self.band_count)
+        out = np.zeros(shape, dtype=dtype)
+        for _, coeff, mat in self._words:
+            out = out + coeff.gradient(k)[..., None, None] * mat
         return out
 
     def spectrum(self, k):

@@ -24,7 +24,7 @@ from .invariants import (
     w2_on,
 )
 from .locus import split_components
-from .model import TWO_PI, torus_delta
+from .model import TWO_PI, _integer, torus_delta
 from .surfaces import loop_clearance, sphere_around, tube_around, validate
 
 
@@ -60,9 +60,10 @@ class LedgerEntry:
     @classmethod
     def from_record(cls, rec):
         """The entry a ``to_record`` dict describes.  Absent fields take
-        their defaults, and ``gap_index`` defaults to 1."""
+        their defaults, and ``gap_index`` defaults to 1; a gap index that is
+        not a whole number is a ConfigError."""
         kwargs = {name: rec[name] for name in cls._record_fields() if name in rec}
-        kwargs["gap_index"] = int(kwargs.get("gap_index", 1))
+        kwargs["gap_index"] = _integer(kwargs.get("gap_index", 1), "ledger entry gap_index")
         return cls(**kwargs)
 
 

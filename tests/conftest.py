@@ -245,117 +245,6 @@ def reference_w2_general(surface, frames):
     return count // 2, spectrum
 
 
-def _reference_gap(model, k, gap_index):
-    return float(model.direct_gap(np.asarray(k, dtype=float), gap_index=gap_index))
-
-
-def reference_gap_tangent(model, k, gap_index, fd):
-    """Pointwise reference for ``locus._gap_tangent``: one eigensolve per
-    stencil point."""
-    hess = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            da = np.zeros(3)
-            db = np.zeros(3)
-            da[a] = fd
-            db[b] = fd
-            qpp = _reference_gap(model, k + da + db, gap_index) ** 2
-            qpm = _reference_gap(model, k + da - db, gap_index) ** 2
-            qmp = _reference_gap(model, k - da + db, gap_index) ** 2
-            qmm = _reference_gap(model, k - da - db, gap_index) ** 2
-            hess[a, b] = hess[b, a] = (qpp - qpm - qmp + qmm) / (4 * fd * fd)
-    w, v = np.linalg.eigh(hess)
-    return v[:, 0], w
-
-
-def reference_correct_to_curve(model, k, tangent, gap_index, tol, fd, max_iter=40):
-    """Pointwise reference for ``locus._correct_to_curve``: one eigensolve per
-    point of the 2-D stencil, its centre included."""
-    from bandtopo.exceptions import RefinementError
-    from bandtopo.locus import _normal_basis
-
-    total_it = 0
-    for _outer in range(8):
-        basis = _normal_basis(tangent)
-        for _ in range(max_iter):
-            gap = _reference_gap(model, k, gap_index)
-            if gap < tol:
-                return k, total_it
-            total_it += 1
-            h = float(np.clip(gap, 1e-7, fd))
-            grad = np.empty(2)
-            hess = np.empty((2, 2))
-
-            def q(u, v_):
-                return (
-                    _reference_gap(model, k + u * basis[0] + v_ * basis[1], gap_index)
-                    ** 2
-                )
-
-            q0 = q(0, 0)
-            qp0, qm0 = q(h, 0), q(-h, 0)
-            q0p, q0m = q(0, h), q(0, -h)
-            qpp, qpm = q(h, h), q(h, -h)
-            qmp, qmm = q(-h, h), q(-h, -h)
-            grad[0] = (qp0 - qm0) / (2 * h)
-            grad[1] = (q0p - q0m) / (2 * h)
-            hess[0, 0] = (qp0 - 2 * q0 + qm0) / (h * h)
-            hess[1, 1] = (q0p - 2 * q0 + q0m) / (h * h)
-            hess[0, 1] = hess[1, 0] = (qpp - qpm - qmp + qmm) / (4 * h * h)
-            try:
-                delta = np.linalg.solve(hess + 1e-14 * np.eye(2), -grad)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is None:
-                break
-            step = delta[0] * basis[0] + delta[1] * basis[1]
-            norm = np.linalg.norm(step)
-            if norm < 1e-14:
-                break
-            if norm > 4 * fd:
-                step = step * (4 * fd / norm)
-            k = k + step
-        if _reference_gap(model, k, gap_index) < tol:
-            return k, total_it
-        tangent, _ = reference_gap_tangent(model, k, gap_index, fd)
-    gap = _reference_gap(model, k, gap_index)
-    if gap < tol:
-        return k, total_it
-    raise RefinementError(
-        f"curve corrector stalled at gap {gap:.3e}", residual=gap, position=k
-    )
-
-
-def reference_newton_on_field(field, k, htol, max_iter):
-    """Pointwise reference for ``locus._newton_on_field``: one field call per
-    Jacobian point."""
-    step_fd = 1e-6
-    for it in range(1, max_iter + 1):
-        h = field(k)
-        if np.linalg.norm(h) < htol:
-            return k, it - 1
-        jac = np.empty((3, 3))
-        for a in range(3):
-            dk = np.zeros(3)
-            dk[a] = step_fd
-            jac[:, a] = (field(k + dk) - field(k - dk)) / (2 * step_fd)
-        try:
-            delta = np.linalg.solve(jac, -h)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        norm0 = np.linalg.norm(h)
-        for _ in range(20):
-            trial = k + scale * delta
-            if np.linalg.norm(field(trial)) < norm0:
-                k = trial
-                break
-            scale *= 0.5
-        else:
-            break
-    return k, max_iter
-
-
 def reference_transverse_slope(model, verts, gap_index, spacing):
     """Pointwise reference for ``locus._transverse_slope``."""
     from bandtopo.locus import _normal_basis

@@ -73,6 +73,16 @@ class TestLocate:
         assert code == 2
 
 
+    @pytest.mark.parametrize("grid", [16, 24, 32, 48])
+    def test_box_arc_traced_to_the_wall(self, tmp_path, grid):
+        # the arc of four-band-linked ends at the box wall at every grid
+        code = run(["locate", "--model", "four-band-linked", "--param", "m=1",
+                    "--grid", str(grid), "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "locus.json").read_text())
+        assert sorted(c["type"] for c in payload["components"]) == ["arc", "loop"]
+
+
 class TestExitCodes:
     """The process exit status equals ``main``'s return value."""
 
@@ -208,6 +218,39 @@ class TestUnreadableInputs:
                     "--resolution", "8", "--out", str(tmp_path)])
         assert code == 64
         assert "locus file" in capsys.readouterr().err
+
+
+class TestLedgerFileChecks:
+    """A ledger file with fractional counts, or written for another model,
+    is refused (exit 64) rather than verified."""
+
+    @pytest.fixture(scope="class")
+    def charges(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("charges")
+        assert run(["charges", "--model", "weyl-lattice", "--param", "m=2",
+                    "--grid", "32", "--mesh", "48x48", "--out", str(out)]) == 0
+        return json.loads((out / "charges.json").read_text())
+
+    def verify(self, tmp_path, payload, m="2"):
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(payload))
+        return run(["verify", "--model", "weyl-lattice", "--param", f"m={m}",
+                    "--ledger-file", str(path), "--out", str(tmp_path)])
+
+    def test_own_ledger_passes(self, tmp_path, charges):
+        assert self.verify(tmp_path, charges) == 0
+
+    @pytest.mark.parametrize("field", ["occupied_count", "gap_index"])
+    def test_fractional_count_exit_64(self, tmp_path, capsys, charges, field):
+        payload = json.loads(json.dumps(charges))
+        owner = payload if field == "occupied_count" else payload["entries"][0]
+        owner[field] += 0.7
+        assert self.verify(tmp_path, payload) == 64
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_other_model_exit_64(self, tmp_path, capsys, charges):
+        assert self.verify(tmp_path, charges, m="1.7") == 64
+        assert "is for model 'weyl-lattice(m=2)'" in capsys.readouterr().err
 
 
 class TestMalformedModelConfig:

@@ -102,3 +102,20 @@ def test_every_module_constant_is_read():
                 read.add(node.attr)
     assert len(defined) > 20
     assert [f"{mod}:{name}" for mod, name in defined if name not in read] == []
+
+
+def test_no_module_imports_scipy_optimize():
+    """Every zero-finder in ``src/bandtopo`` is a Newton step on the crossing
+    Jacobian: no module imports ``scipy.optimize``, at any level."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{n}" for n in names
+                      if n == "scipy.optimize" or n.startswith("scipy.optimize.")]
+    assert found == []

@@ -13,9 +13,6 @@ from conftest import (
     gapped_model,
     random_two_band,
     reference_cluster_cells,
-    reference_correct_to_curve,
-    reference_gap_tangent,
-    reference_newton_on_field,
     reference_normal_basis,
     reference_transverse_slope,
 )
@@ -143,6 +140,11 @@ class TestRefinePoint:
             bt.refine_point(gapped_model(), [0.3, 0.3, 0.3])
         assert info.value.residual is not None
 
+    def test_newton_converges_in_few_steps(self, weyl2):
+        p = bt.refine_point(weyl2, [0.1, -0.1, 1.5])
+        assert p.residual_gap < bt.locus.POINT_TOL
+        assert 0 < p.refinement_iterations <= 4
+
     def test_exact_zero_zero_iterations(self, weyl2):
         p = bt.refine_point(weyl2, [0.0, 0.0, math.pi / 2])
         assert p.refinement_iterations == 0
@@ -191,6 +193,19 @@ class TestTraceLoops:
             np.roll(loop.vertices, -1, axis=0) - loop.vertices, axis=1
         )
         assert np.max(deltas) < 2 * spacing
+
+    @pytest.mark.parametrize("m", [0.93, 1])
+    def test_winding_matches_vertex_order(self, m, four_band_lattice_locus):
+        # the reported winding is that of the stored vertex order, also for
+        # loops the canonical orientation reversed
+        locus = (four_band_lattice_locus if m == 1 else
+                 bt.extract_locus(bt.builtin("four-band-linked-lattice", m=m), resolution=32))
+        windings = set()
+        for loop in locus.loops:
+            edges = torus_delta(np.roll(loop.vertices, -1, axis=0), loop.vertices)
+            assert list(loop.winding) == np.round(edges.sum(axis=0) / (2 * math.pi)).tolist()
+            windings.add(tuple(loop.winding))
+        assert len(windings) > 1
 
     def test_orientation_convention(self, nodal_loop2_locus):
         loop = nodal_loop2_locus.loops[0]
@@ -267,6 +282,20 @@ class TestLocusInvariants:
         assert len(set(ids)) == len(ids)
 
 
+def count_eigensolve_calls(monkeypatch):
+    """Count ``BlochModel.spectrum`` and ``eigenframes`` calls."""
+    calls = []
+    for name in ("spectrum", "eigenframes"):
+        method = getattr(bt.BlochModel, name)
+
+        def counted(self, *args, method=method, **kwargs):
+            calls.append(None)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(bt.BlochModel, name, counted)
+    return calls
+
+
 def count_spectrum_calls(monkeypatch):
     """Count ``BlochModel.spectrum`` calls; returns the k-points of each call."""
     calls = []
@@ -290,65 +319,13 @@ def locus_and_model(request, name):
     return locus, model
 
 
-def near_locus_points(locus, rng, per_curve=2, noise=0.05):
-    """(k, gap index) a little off the refined points and traced vertices."""
-    anchors = [(p.position, p.gap_index) for p in locus.points]
-    for curve in (*locus.loops, *locus.open_arcs):
-        for i in rng.choice(len(curve.vertices), size=per_curve, replace=False):
-            anchors.append((curve.vertices[i], curve.gap_index))
-    return [(k + rng.normal(scale=noise, size=3), g) for k, g in anchors]
-
-
 def scan_spacing(model, resolution=32):
     return bt.locus.ScanGrid(model, resolution).spacing
 
 
 class TestBatchedKernels:
-    """The batched stencils give bitwise the pointwise results of the
+    """The batched kernels give bitwise the pointwise results of the
     references in conftest."""
-
-    @pytest.mark.parametrize("name", BUILTIN_LOCI)
-    def test_gap_tangent_bitwise(self, request, name):
-        from bandtopo.locus import _gap_tangent
-
-        _, model = locus_and_model(request, name)
-        rng = np.random.default_rng(11)
-        ext = math.pi if model.domain.is_torus else 0.8 * model.domain.extent
-        for k in rng.uniform(-ext, ext, size=(6, 3)):
-            for g in range(1, model.band_count):
-                # the floor, the seed corrector's and the marcher's steps
-                for fd in (1e-5, scan_spacing(model) / 10, 0.6 * scan_spacing(model) / 8):
-                    t, w = _gap_tangent(model, k, g, fd)
-                    rt, rw = reference_gap_tangent(model, k, g, fd)
-                    assert t.tobytes() == rt.tobytes()
-                    assert w.tobytes() == rw.tobytes()
-
-    @pytest.mark.parametrize("name", BUILTIN_LOCI)
-    def test_corrector_bitwise(self, request, name):
-        from bandtopo.exceptions import RefinementError
-        from bandtopo.locus import VERTEX_TOL, _correct_to_curve
-
-        locus, model = locus_and_model(request, name)
-        rng = np.random.default_rng(12)
-        fd = max(scan_spacing(model) / 10.0, 1e-5)
-        outcomes = set()
-        for k, g in near_locus_points(locus, rng)[:8]:
-            tangent, _ = reference_gap_tangent(model, k, g, fd)
-            try:
-                ref = reference_correct_to_curve(model, k, tangent, g, VERTEX_TOL, fd)
-            except RefinementError as exc:
-                with pytest.raises(RefinementError) as info:
-                    _correct_to_curve(model, k, tangent, g, VERTEX_TOL, fd)
-                assert str(info.value) == str(exc)
-                assert info.value.position.tobytes() == exc.position.tobytes()
-                outcomes.add("stalled")
-                continue
-            got = _correct_to_curve(model, k, tangent, g, VERTEX_TOL, fd)
-            assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
-            outcomes.add("converged")
-        # point-like loci stall in the curve corrector; near a curve it converges
-        point_like = name == "weyl2_locus"
-        assert ("converged" in outcomes) != point_like
 
     @pytest.mark.parametrize("name", BUILTIN_LOCI[1:])
     def test_transverse_slope_bitwise(self, request, name):
@@ -360,21 +337,6 @@ class TestBatchedKernels:
             got = _transverse_slope(model, curve.vertices, curve.gap_index, spacing)
             ref = reference_transverse_slope(model, curve.vertices, curve.gap_index, spacing)
             assert got == ref
-
-    @pytest.mark.parametrize("model", [bt.builtin("weyl-lattice", m=2), random_two_band(3)],
-                             ids=["weyl-lattice", "random-two-band-3"])
-    def test_newton_bitwise(self, model):
-        from bandtopo.locus import POINT_TOL, _newton_on_field
-
-        field = model.two_band_field
-        rng = np.random.default_rng(13)
-        converged = 0
-        for seed in rng.uniform(-math.pi, math.pi, size=(6, 3)):
-            got = _newton_on_field(field, seed, POINT_TOL / 2.0, 60)
-            ref = reference_newton_on_field(field, seed, POINT_TOL / 2.0, 60)
-            assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
-            converged += 0 < got[1] < 60
-        assert converged
 
     def test_normal_basis_bitwise(self, four_band_lattice_locus):
         from bandtopo.locus import _normal_basis
@@ -465,16 +427,22 @@ class TestCoverage:
 
 
 class TestEigensolveCounts:
-    """Each stencil is one eigensolve call, so the extraction makes few."""
+    """Each Newton step is one eigensolve call, so the extraction makes few."""
 
     @pytest.mark.parametrize("name, m, limit", [
         ("four-band-linked-lattice", 1, 2400),
         ("weyl-lattice", 2, 250),
     ])
     def test_extract_spectrum_calls(self, monkeypatch, name, m, limit):
-        calls = count_spectrum_calls(monkeypatch)
+        calls = count_eigensolve_calls(monkeypatch)
         bt.extract_locus(bt.builtin(name, m=m), resolution=32)
         assert 0 < len(calls) <= limit
+
+    def test_curve_tracing_calls(self, monkeypatch):
+        # 12 curves of ~45 vertices, about two Newton steps per vertex
+        calls = count_eigensolve_calls(monkeypatch)
+        bt.extract_locus(bt.builtin("four-band-linked-lattice", m=1), resolution=32)
+        assert 0 < len(calls) <= 1200
 
 
 def rotated_nodal_loop(m, seed):
@@ -536,8 +504,8 @@ class TestSeedClassification:
             assert seed_first == 0 < len(corrector)
 
     def test_rotated_loop_stays_a_loop(self):
-        # Newton converges onto this loop from a point-like seed; only the
-        # Hessian ratio at the refined zero rejects it as a point
+        # Newton on h converges onto this loop from any seed; the rank of the
+        # crossing Jacobian keeps it from being taken for a point
         locus = bt.extract_locus(rotated_nodal_loop(1.5, 0), resolution=16)
         assert (len(locus.points), len(locus.loops)) == (0, 1)
 
@@ -546,8 +514,33 @@ class TestSeedClassification:
         ("four-band-linked-lattice", 1, 16, 1500),
     ])
     def test_spectrum_calls(self, monkeypatch, name, m, grid, limit):
-        # Weyl clusters run no curve tracer; multiband curve clusters run no
-        # Nelder-Mead point attempt, even where their seeds look point-like
-        calls = count_spectrum_calls(monkeypatch)
+        # Weyl clusters run no curve tracer; curve clusters run no point
+        # attempt first
+        calls = count_eigensolve_calls(monkeypatch)
         bt.extract_locus(bt.builtin(name, m=m), resolution=grid)
         assert 0 < len(calls) <= limit
+
+    @pytest.mark.parametrize("name, m, points", [
+        ("nodal-loop-real", 2, False),
+        ("four-band-linked-lattice", 1, False),
+        ("weyl-lattice", 2, True),
+        ("weyl-lattice", 1.7, True),
+    ])
+    def test_seed_ratio_separates_points_from_curves(self, name, m, points):
+        # real models have a 2x3 crossing Jacobian, so their ratio is exactly 0
+        from bandtopo.locus import (
+            SEED_POINT_RATIO, _cluster_cells, _cluster_seed, _point_ratio, _singular_values,
+        )
+
+        model = bt.builtin(name, m=m)
+        scan = scan_grid(model, resolution=32)
+        ratios = []
+        for g, cells in scan.flagged.items():
+            for cluster in _cluster_cells(cells, 32, scan.grid.torus):
+                seed = _cluster_seed(model, scan.grid, cluster, g)[1]
+                ratios.append(_point_ratio(_singular_values(model, seed, g)))
+        assert ratios
+        if points:
+            assert min(ratios) > 2 * SEED_POINT_RATIO
+        else:
+            assert set(ratios) == {0.0}

@@ -617,6 +617,56 @@ class TestPauliExpansion:
             BlochModel("odd", bands, 1, True, TORUS, ((spec, mat),))
 
 
+def poly_box_model():
+    """A real four-band box model with a kx^2 ky monomial, from a config."""
+    def spec(*entries):
+        return [{"kind": "poly", "harmonic": list(n), "amplitude": a} for n, a in entries]
+
+    return model_from_config({
+        "name": "poly-box",
+        "band_count": 4,
+        "occupied_count": 2,
+        "reality": True,
+        "domain": {"type": "box", "extent": 2.0},
+        "terms": [
+            {"pauli": "IX", "coeff": spec(((2, 1, 0), 0.7), ((0, 0, 1), 1.0))},
+            {"pauli": "ZZ", "coeff": spec(((0, 0, 0), 0.5), ((1, 1, 1), -0.3))},
+            {"pauli": "YY", "coeff": spec(((0, 3, 0), 0.2))},
+        ],
+    })
+
+
+GRADIENT_MODELS = {
+    **{f"{name}-{m:g}": (lambda name=name, m=m: bt.builtin(name, m=m))
+       for name, m in BUILTIN_PARAMS},
+    **{f"random-{s}": (lambda s=s: random_two_band(s)) for s in range(4)},
+    "poly-box": poly_box_model,
+}
+
+
+class TestHamiltonianGradient:
+    """dH/dk read off the Pauli words matches central differences of H."""
+
+    @pytest.mark.parametrize("name", sorted(GRADIENT_MODELS))
+    def test_matches_central_differences(self, name):
+        model = GRADIENT_MODELS[name]()
+        k = 0.9 * domain_points(model, 100)
+        got = model.hamiltonian_gradient(k)
+        assert got.shape == k.shape[:1] + (3, model.band_count, model.band_count)
+        assert got.dtype == model.hamiltonian(k).dtype
+        h = 1e-5
+        for axis in range(3):
+            dk = np.zeros(3)
+            dk[axis] = h
+            ref = (model.hamiltonian(k + dk) - model.hamiltonian(k - dk)) / (2 * h)
+            assert np.max(np.abs(got[:, axis] - ref)) <= 1e-8
+        assert np.array_equal(model.hamiltonian_gradient(k[0]), got[0])
+
+    def test_box_domain_checked(self, four_band):
+        with pytest.raises(DomainError):
+            four_band.hamiltonian_gradient([3.5, 0.0, 0.0])
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("entry", [
         ("cos", (1, 0, 0), math.nan), ("sin", (1, 0, 0), math.inf),
