@@ -58,16 +58,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_common(p):
-    p.add_argument("--model", help="builtin model name")
-    p.add_argument(
-        "--param", action="append", default=[], metavar="K=V",
-        help="builtin model parameter (repeatable)",
-    )
-    p.add_argument("--config", help="model config file (JSON)")
-    p.add_argument("--grid", type=_grid_size, default=48, help="scan resolution per axis")
-    p.add_argument("--mesh", default="64x64", metavar="NxM", help="surface mesh size")
-    p.add_argument("--tube-radius", type=_positive_radius, default=None)
+def _add_options(p, *names):
+    """Register the named options of ``_OPTIONS`` on a subcommand, then
+    ``--out`` and ``--json``."""
+    for name in names:
+        for flag, kwargs in _OPTIONS[name]:
+            p.add_argument(flag, **kwargs)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--json", action="store_true", help="print the JSON report")
 
@@ -124,6 +120,19 @@ def _positive_radius(text):
     return r
 
 
+def _mesh_size(text):
+    """``--mesh`` type: NxM surface mesh sizes, each at least 3."""
+    try:
+        nu, nv = (int(n) for n in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NxM, got {text!r}") from None
+    if nu < MIN_MESH or nv < MIN_MESH:
+        raise argparse.ArgumentTypeError(
+            f"mesh sizes must be at least {MIN_MESH}, got {text!r}"
+        )
+    return nu, nv
+
+
 def _slice_values(text):
     """``--values`` type: a comma-separated list of finite floats."""
     try:
@@ -136,6 +145,21 @@ def _slice_values(text):
         raise argparse.ArgumentTypeError(f"slice coordinates must be finite, got {text!r}")
     return values
 
+
+# the options a subcommand may read, by group: each subcommand registers
+# only the groups it reads
+_OPTIONS = {
+    "model": [
+        ("--model", dict(help="builtin model name")),
+        ("--param", dict(action="append", default=[], metavar="K=V",
+                         help="builtin model parameter (repeatable)")),
+        ("--config", dict(help="model config file (JSON)")),
+    ],
+    "grid": [("--grid", dict(type=_grid_size, default=48, help="scan resolution per axis"))],
+    "mesh": [("--mesh", dict(type=_mesh_size, default="64x64", metavar="NxM",
+                             help="surface mesh size"))],
+    "tube-radius": [("--tube-radius", dict(type=_positive_radius, default=None))],
+}
 
 _NEGATIVE_START = re.compile(r"-[0-9.]")
 
@@ -159,17 +183,6 @@ def _bind_values(argv):
             out.append(tok)
             i += 1
     return out
-
-
-def _parse_mesh(spec):
-    try:
-        nu, nv = spec.lower().split("x")
-        nu, nv = int(nu), int(nv)
-    except ValueError as exc:
-        raise ConfigError(f"--mesh expects NxM, got {spec!r}") from exc
-    if nu < MIN_MESH or nv < MIN_MESH:
-        raise ConfigError(f"--mesh sizes must be at least {MIN_MESH}, got {spec!r}")
-    return nu, nv
 
 
 def _write_json(args, name, payload):
@@ -220,10 +233,9 @@ def cmd_locate(args):
 
 
 def _compute_ledger(args, model):
-    mesh = _parse_mesh(args.mesh)
     locus = extract_locus(model, resolution=args.grid)
     ledger = assemble_ledger(
-        model, locus, mesh=mesh, tube_radius=args.tube_radius,
+        model, locus, mesh=args.mesh, tube_radius=args.tube_radius,
     )
     return locus, ledger
 
@@ -316,8 +328,7 @@ def cmd_scan(args):
         values = args.values
     else:
         values = [-math.pi + TWO_PI * i / args.slices for i in range(args.slices)]
-    mesh = _parse_mesh(args.mesh)
-    entries = chern_scan(model, args.axis, values, n_u=mesh[0], n_v=mesh[1])
+    entries = chern_scan(model, args.axis, values, n_u=args.mesh[0], n_v=args.mesh[1])
     payload = {
         "schema_version": 1,
         "model": model.name,
@@ -547,23 +558,23 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("locate", help="extract the nodal locus")
-    _add_common(p)
+    _add_options(p, "model", "grid")
     p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("charges", help="compute per-component charges")
-    _add_common(p)
+    _add_options(p, "model", "grid", "mesh", "tube-radius")
     p.add_argument("--wilson-csv", action="store_true",
                    help="export Wilson eigenphase tracks per loop")
     p.set_defaults(func=cmd_charges)
 
     p = sub.add_parser("verify", help="run cancellation verdicts")
-    _add_common(p)
+    _add_options(p, "model", "grid", "mesh", "tube-radius")
     p.add_argument("--axis", default="z", choices="xyz")
     p.add_argument("--ledger-file", help="verify a precomputed charges.json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="slice Chern scan")
-    _add_common(p)
+    _add_options(p, "model", "mesh")
     p.add_argument("--axis", default="z", choices="xyz")
     p.add_argument(
         "--values", type=_slice_values, metavar="C1,C2,...",
@@ -574,11 +585,11 @@ def build_parser():
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("link", help="pairwise linking numbers")
-    _add_common(p)
+    _add_options(p, "model", "grid")
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("cohomology", help="cellular cohomology checks")
-    _add_common(p)
+    _add_options(p)
     p.add_argument("--fixture", default="loop", choices=FIXTURES)
     p.add_argument("--from-locus", help="voxelize a locus.json instead")
     p.add_argument("--resolution", type=_complex_resolution, default=16,
@@ -590,7 +601,7 @@ def build_parser():
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("report", help="consolidated JSON report")
-    _add_common(p)
+    _add_options(p, "model", "grid", "mesh", "tube-radius")
     p.add_argument("--axis", default="z", choices="xyz")
     p.set_defaults(func=cmd_report)
 

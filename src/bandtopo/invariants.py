@@ -7,8 +7,10 @@ flux through a closed mesh takes one U(1) phase arg det(F_a^dagger F_b) per
 mesh edge straight from the raw overlaps (Fukui, Hatsugai & Suzuki, J. Phys.
 Soc. Jpn. 74, 1674 (2005)); each plaquette's flux is the wrapped sum of its
 four edge phases.  Polar factors of the overlaps are taken only for the
-Wilson lines of Berry phases, w1 and w2.  Every overlap must keep its
-smallest singular value above 1e-8.  Integer and Z2 results carry their
+Wilson lines of Berry phases, w1 and w2.  w2 is computed for real models
+with exactly two occupied bands, where the u-cycle Wilson loop is one SO(2)
+rotation angle; any other occupied rank is refused.  Every overlap must keep
+its smallest singular value above 1e-8.  Integer and Z2 results carry their
 pre-rounding residuals.
 """
 
@@ -445,9 +447,9 @@ def w1_along(model, loop, occupied_count=None, min_gap=0.01, frames=None):
 # -- second Stiefel-Whitney charge ---------------------------------------------------
 
 
-def w2_on(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_TOL,
-          flat_tol=W2_FLAT_TOL, keep_spectrum=False):
-    """Z2 monopole charge of a validated closed surface of a real model.
+def w2_on(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_TOL):
+    """Z2 monopole charge of a validated closed surface of a real model with
+    exactly two occupied bands.
 
     Wilson loops along the u-cycles are tracked as a function of v with a
     parallel-transported basepoint frame; the charge is the parity of
@@ -455,24 +457,22 @@ def w2_on(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_TOL,
     orientation-reversing for the occupied frame (w1 = 1 on meridians of
     nodal-line tubes); that holonomy is folded into the crossing count and
     reported in ``w1_cycles``.  An orientation-reversing u-cycle is a
-    genuine obstruction and raises ObstructionError.
+    genuine obstruction and raises ObstructionError.  Any other occupied
+    rank raises UnsupportedModelError.
     """
     if not model.reality:
         raise UnsupportedModelError("w2 requires a reality-flagged model")
     occ = model.occupied_count if occupied_count is None else int(occupied_count)
-    if model.band_count == 2 or occ < 2:
+    if model.band_count == 2 or occ != 2:
         raise UnsupportedModelError(
-            "w2 is not defined for two-band models (only the first "
-            "Stiefel-Whitney charge exists there); need >= 2 occupied bands "
-            "of a >= 4 band model"
+            "w2 is computed for exactly 2 occupied bands of a >= 4 band model; "
+            f"this one has {occ} occupied of {model.band_count}"
         )
     _require_validated(surface, model, 10.0 * residual_tol)
     frames = _surface_frames(model, surface, occ)
     if np.iscomplexobj(frames):
         raise UnsupportedModelError("w2 requires real eigenframes")
-    if occ == 2:
-        return _w2_rank2(model, surface, frames, flat_tol, keep_spectrum)
-    return _w2_general(model, surface, frames, keep_spectrum)
+    return _w2_rank2(surface, frames)
 
 
 def _u_cycle_wilson(surface, frames, rows):
@@ -508,7 +508,7 @@ def _wrap(angle):
     return (angle + math.pi) % TWO_PI - math.pi
 
 
-def _w2_rank2(model, surface, frames, flat_tol, keep_spectrum):
+def _w2_rank2(surface, frames):
     n_v = surface.n_v
     is_sphere = surface.kind == SPHERE
     raw = _u_cycle_wilson(surface, frames, np.arange(n_v + is_sphere))
@@ -541,7 +541,7 @@ def _w2_rank2(model, surface, frames, flat_tol, keep_spectrum):
     if closure is not None and float(np.linalg.det(closure)) < 0:
         w1_v = 1
 
-    flat = all(abs(_wrap(th - math.pi)) < flat_tol for th in thetas)
+    flat = all(abs(_wrap(th - math.pi)) < W2_FLAT_TOL for th in thetas)
     if flat and not is_sphere:
         value = w1_v
         count = value
@@ -551,11 +551,8 @@ def _w2_rank2(model, surface, frames, flat_tol, keep_spectrum):
         count = abs(hi - lo)
         value = count % 2
 
-    spectrum = None
-    if keep_spectrum:
-        vs = [TWO_PI * iv / n_v if not is_sphere else math.pi * iv / n_v
-              for iv in range(len(track))]
-        spectrum = np.column_stack([vs, track])
+    vs = [TWO_PI * iv / n_v if not is_sphere else math.pi * iv / n_v
+          for iv in range(len(track))]
     return W2Result(
         value=value,
         crossing_count=count,
@@ -563,61 +560,8 @@ def _w2_rank2(model, surface, frames, flat_tol, keep_spectrum):
         w1_cycles=(0, w1_v),
         mesh=(surface.n_u, surface.n_v),
         flat_spectrum=bool(flat),
-        spectrum=spectrum,
+        spectrum=np.column_stack([vs, track]),
     )
-
-
-def _w2_general(model, surface, frames, keep_spectrum):
-    """Crossing counting for occupied rank > 2 by eigenphase continuity.
-
-    Bands are matched between adjacent v-rows by nearest phase with a
-    half-gap acceptance threshold; crossings of pi are counted per band.
-    """
-    n_v = surface.n_v
-    is_sphere = surface.kind == SPHERE
-    ev = np.linalg.eigvals(_u_cycle_wilson(surface, frames, np.arange(n_v + is_sphere)))
-    phases_rows = np.sort(np.angle(ev), axis=-1)
-    if not is_sphere:  # close the v-cycle on row 0
-        phases_rows = np.concatenate([phases_rows, phases_rows[:1]])
-    count = 0
-    for prev, cur in zip(phases_rows[:-1], phases_rows[1:]):
-        gaps = np.diff(np.sort(prev))
-        half_gap = 0.5 * (np.min(gaps) if len(gaps) and np.min(gaps) > 0 else math.pi)
-        matched = _match_bands(prev, cur, half_gap)
-        for a, b in matched:
-            if (a - math.pi) * (b - math.pi) < 0 or (
-                (a + math.pi) * (b + math.pi) < 0
-            ):
-                count += 1
-    count //= 2  # conjugate pairs cross together
-    spectrum = None
-    if keep_spectrum:
-        spectrum = np.column_stack([np.arange(len(phases_rows)), phases_rows[:, 0]])
-    return W2Result(
-        value=count % 2,
-        crossing_count=count,
-        surface_id=surface.surface_id,
-        w1_cycles=(0, 0),
-        mesh=(surface.n_u, surface.n_v),
-        spectrum=spectrum,
-    )
-
-
-def _match_bands(prev, cur, half_gap):
-    used = set()
-    pairs = []
-    for a in prev:
-        best, best_d = None, math.inf
-        for j, b in enumerate(cur):
-            if j in used:
-                continue
-            d = abs(_wrap(b - a))
-            if d < best_d:
-                best, best_d = j, d
-        if best is not None and best_d <= max(half_gap, 0.5):
-            used.add(best)
-            pairs.append((a, cur[best]))
-    return pairs
 
 
 # -- slice scans ----------------------------------------------------------------

@@ -10,7 +10,10 @@ zero-finder reads one primitive, ``_crossing``: one eigensolve at k projects
 H and the analytic dH/dk onto the two crossing bands, giving a field d that
 vanishes on the locus and its Jacobian J.  One SVD of J (``_newton``) gives
 the Newton step, the curve tangent and the rank that tells points from
-curves.  No finite-difference stencil and no ``scipy.optimize`` is used.
+curves.  The same singular values, kept at every vertex the curve
+corrector accepts, give a traced curve's transverse gap slopes and its
+vertex gaps, so no probe stencil and no second gap pass remains.  No
+finite-difference stencil and no ``scipy.optimize`` is used.
 """
 
 from __future__ import annotations
@@ -279,16 +282,17 @@ def _canonical_position(model, k):
 
 def _correct_to_curve(model, k, gap_index, tol, reach, max_iter=40):
     """Pull a point onto the zero curve by rank-2 Newton, which steps normal
-    to the curve, each step at most ``reach`` long.  Returns the point and
-    the curve tangent there; a point that leaves a box domain is returned
-    as is, with tangent None."""
+    to the curve, each step at most ``reach`` long.  Returns the point with,
+    from the crossing Jacobian J there, the curve tangent, the gap and J's
+    singular values; a point that leaves a box domain is returned as is,
+    with tangent None."""
     for _ in range(max_iter):
         if not model.domain.contains(k):
-            return k, None
+            return k, None, None, None
         gap, d, jac = _crossing(model, k, gap_index)
-        step, tangent, _ = _newton(jac, d, 2)
+        step, tangent, s = _newton(jac, d, 2)
         if gap < tol:
-            return k, tangent
+            return k, tangent, gap, s
         norm = np.linalg.norm(step)
         if norm < 1e-14:
             break
@@ -298,66 +302,55 @@ def _correct_to_curve(model, k, gap_index, tol, reach, max_iter=40):
     )
 
 
-def _normal_basis(tangent):
-    t = tangent / np.linalg.norm(tangent)
-    ref = np.zeros(3)
-    ref[int(np.argmin(np.abs(t)))] = 1.0
-    u = _cross(t, ref)
-    u /= np.linalg.norm(u)
-    v = _cross(t, u)
-    return u, v
+def _march_curve(model, start, gap_index, step, tol):
+    """March along the zero curve from a corrected ``start`` (the output of
+    ``_correct_to_curve``), steering by the last chord; an open arc is
+    marched both ways and joined.
 
-
-def _cross(a, b):
-    """``np.cross`` of two 3-vectors in float arithmetic, in its operation
-    order (so bitwise equal), without its per-call overhead."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def _march_curve(model, start, direction, gap_index, step, tol):
-    """March along the zero curve, steering by the last chord; returns
-    (vertices, closed, winding)."""
+    Returns (vertices, gaps, singular values, closed, winding): the
+    corrector's gap and J's singular values at every vertex, in vertex
+    order."""
     torus = model.domain.is_torus
     max_steps = int(60.0 * TWO_PI / step)
+    k0, tangent, gap0, s0 = start
 
-    def march(k0, d0):
-        verts = [np.array(k0)]
-        d = np.array(d0)
+    def march(d):
+        rows = [(np.array(k0), gap0, s0)]
         for _ in range(max_steps):
-            pred = verts[-1] + step * d
+            last = rows[-1][0]
+            pred = last + step * d
             if not model.domain.contains(pred):
-                return verts, False, None
-            cur, tangent = _correct_to_curve(model, pred, gap_index, tol, 0.5 * step)
+                return rows, False, None
+            cur, tangent, gap, s = _correct_to_curve(model, pred, gap_index, tol, 0.5 * step)
             if tangent is None:
-                return verts, False, None
-            d_new = cur - verts[-1]
+                return rows, False, None
+            d_new = cur - last
             n_new = np.linalg.norm(d_new)
             if n_new < step * 0.05:
                 raise RefinementError("curve tracing stalled (no progress)")
             d = d_new / n_new
-            verts.append(cur)
-            disp = verts[-1] - verts[0]
+            rows.append((cur, gap, s))
+            disp = cur - rows[0][0]
             if torus:
                 winding = np.round(disp / TWO_PI)
                 near = np.linalg.norm(disp - TWO_PI * winding) < 0.75 * step
             else:
                 winding = np.zeros(3)
                 near = np.linalg.norm(disp) < 0.75 * step
-            if len(verts) > 4 and near:
-                return verts[:-1], True, winding.astype(int)
+            if len(rows) > 4 and near:
+                return rows[:-1], True, winding.astype(int)
         raise RefinementError("curve tracing exceeded maximum length")
 
-    verts, closed, winding = march(start, direction)
-    if closed:
-        return np.array(verts), True, winding
-    # open arc: march the other way from the start and join
-    back, closed_back, _ = march(start, -direction)
-    if closed_back:
-        return np.array(back), True, np.zeros(3, dtype=int)
-    verts = list(reversed(back[1:])) + verts
-    return np.array(verts), False, None
+    rows, closed, winding = march(tangent)
+    if not closed:
+        # open arc: march the other way from the start and join
+        back, closed, _ = march(-tangent)
+        if closed:
+            rows, winding = back, np.zeros(3, dtype=int)
+        else:
+            rows = back[:0:-1] + rows
+    verts, gaps, svals = (np.array(col) for col in zip(*rows))
+    return verts, gaps, svals, closed, winding
 
 
 # -- result types -------------------------------------------------------------
@@ -555,11 +548,15 @@ def _point_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_boun
 def _curve_from_cluster(model, grid, cluster, centers, seed, gap_index, step_factor,
                         vertex_tol, gap_bound):
     step = step_factor * grid.spacing
-    corrected, tangent = _correct_to_curve(model, seed, gap_index, vertex_tol, 0.4 * grid.spacing)
-    if tangent is None:
-        raise RefinementError("curve corrector left the box", position=corrected)
-    verts, closed, winding = _march_curve(model, corrected, tangent, gap_index, step, vertex_tol)
-    slope_min, slope_max = _transverse_slope(model, verts, gap_index, grid.spacing)
+    start = _correct_to_curve(model, seed, gap_index, vertex_tol, 0.4 * grid.spacing)
+    if start[1] is None:
+        raise RefinementError("curve corrector left the box", position=start[0])
+    verts, gaps, svals, closed, winding = _march_curve(
+        model, start, gap_index, step, vertex_tol
+    )
+    # the gap rises as 2 |J dk| across the curve: 2 s1 in the flattest normal
+    # direction, 2 s0 in the steepest
+    slope_min, slope_max = 2.0 * float(svals[:, 1].min()), 2.0 * float(svals[:, 0].max())
     if slope_min < max(1e-4, 0.03 * slope_max):
         raise LocusAmbiguityError(
             f"zero set traced near {np.round(verts[0], 3).tolist()} is not a "
@@ -568,13 +565,7 @@ def _curve_from_cluster(model, grid, cluster, centers, seed, gap_index, step_fac
         )
     limit = _coverage_limit(grid, gap_bound, slope_min)
     _check_coverage(verts, centers, grid, cluster, gap_index, limit)
-    max_gap = float(
-        np.max(
-            model.direct_gap(
-                reduce_torus(verts) if grid.torus else verts, gap_index=gap_index
-            )
-        )
-    )
+    max_gap = float(gaps.max())
     if closed:
         canon, flipped = _canonicalize_loop(verts, grid.torus)
         return NodalLoop(
@@ -592,39 +583,11 @@ def _curve_from_cluster(model, grid, cluster, centers, seed, gap_index, step_fac
 
 def _coverage_limit(grid, gap_bound, slope):
     """How far a flagged cell may legitimately sit from the extracted zero
-    set: its sampled gap divided by the local gap slope, padded by cell
-    diagonals."""
+    set: its sampled gap divided by the smallest rate at which the gap rises
+    away from the zero set (2 s_min of the crossing Jacobian), padded by
+    cell diagonals."""
     reach = gap_bound / max(slope, 1e-12)
     return min(reach, 12.0 * grid.spacing) + 2.5 * grid.spacing * math.sqrt(3.0)
-
-
-def _transverse_slope(model, verts, gap_index, spacing):
-    """(min, max) transverse gap slope sampled along a traced curve.
-
-    A vanishing minimum means the zero set extends beyond the curve (a
-    nodal surface or a crossing network): not a transversally isolated
-    curve."""
-    n = len(verts)
-    tangents = np.gradient(np.asarray(verts), axis=0)
-    probes = []
-    for i in range(0, n, max(1, n // 8)):
-        t = tangents[i]
-        nrm = np.linalg.norm(t)
-        if nrm < 1e-12:
-            continue
-        u, v = _normal_basis(t / nrm)
-        for ang in (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi):
-            d = math.cos(ang) * u + math.sin(ang) * v
-            probes.append(verts[i] + spacing * d)
-    probes = np.reshape(probes, (-1, 3))
-    if model.domain.is_torus:
-        probes = reduce_torus(probes)
-    else:
-        probes = probes[model.domain.contains(probes)]
-    if not len(probes):
-        return 1.0, 1.0
-    slopes = model.direct_gap(probes, gap_index=gap_index) / spacing
-    return float(slopes.min()), float(slopes.max())
 
 
 def _classify_cluster(model, grid, cluster, gap_index, step_factor, vertex_tol,

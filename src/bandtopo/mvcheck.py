@@ -304,12 +304,14 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
             if model.reality:
                 entry.berry_w1 = w1_along(model, meridian, frames=frames)
                 if model.band_count > 2 and comp.gap_index == model.occupied_count:
+                    # w2 exists for two occupied bands; at any other rank,
+                    # or on an obstruction, the entry notes why it is missing
                     try:
-                        res = w2_on(model, tube, keep_spectrum=True)
+                        res = w2_on(model, tube)
                         entry.w2_result = res
                         entry.w2 = res.value
                         entry.w2_crossings = res.crossing_count
-                    except ObstructionError as exc:
+                    except (ObstructionError, UnsupportedModelError) as exc:
                         entry.notes = str(exc)
         else:  # open arc: no closed enclosing surface in the box
             entry.notes = "open arc: charges require a closed enclosing surface"

@@ -217,7 +217,8 @@ def reference_parallel_frames(verts):
 
 
 def reference_normal_basis(tangent):
-    """``np.cross`` reference for ``locus._normal_basis``."""
+    """Two unit normals of a tangent, built by ``np.cross`` from the axis the
+    tangent leans on least."""
     t = tangent / np.linalg.norm(tangent)
     ref = np.zeros(3)
     ref[int(np.argmin(np.abs(t)))] = 1.0
@@ -226,28 +227,11 @@ def reference_normal_basis(tangent):
     return u, np.cross(t, u)
 
 
-def reference_w2_general(surface, frames):
-    """Crossing count and spectrum of ``invariants._w2_general`` with the
-    u-cycle Wilson loop evaluated at every row, row 0 twice on a tube."""
-    from bandtopo.invariants import _match_bands, _u_cycle_wilson
-
-    rows = np.arange(surface.n_v + 1) % surface.n_v
-    ev = np.linalg.eigvals(_u_cycle_wilson(surface, frames, rows))
-    phases_rows = np.sort(np.angle(ev), axis=-1)
-    count = 0
-    for prev, cur in zip(phases_rows[:-1], phases_rows[1:]):
-        gaps = np.diff(np.sort(prev))
-        half_gap = 0.5 * (np.min(gaps) if len(gaps) and np.min(gaps) > 0 else math.pi)
-        for a, b in _match_bands(prev, cur, half_gap):
-            if (a - math.pi) * (b - math.pi) < 0 or ((a + math.pi) * (b + math.pi) < 0):
-                count += 1
-    spectrum = np.column_stack([np.arange(len(phases_rows)), [p[0] for p in phases_rows]])
-    return count // 2, spectrum
-
-
 def reference_transverse_slope(model, verts, gap_index, spacing):
-    """Pointwise reference for ``locus._transverse_slope``."""
-    from bandtopo.locus import _normal_basis
+    """(min, max) gap slope of a traced curve measured by probes: the gap
+    one grid spacing away along four normal directions, at eight vertices,
+    divided by the spacing.  An independent check of the slopes the curve
+    tracer reads off the crossing Jacobian."""
     from bandtopo.model import reduce_torus
 
     n = len(verts)
@@ -258,7 +242,7 @@ def reference_transverse_slope(model, verts, gap_index, spacing):
         nrm = np.linalg.norm(t)
         if nrm < 1e-12:
             continue
-        u, v = _normal_basis(t / nrm)
+        u, v = reference_normal_basis(t / nrm)
         for ang in (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi):
             d = math.cos(ang) * u + math.sin(ang) * v
             probe = verts[i] + spacing * d

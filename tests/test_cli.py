@@ -101,6 +101,14 @@ class TestExitCodes:
         (["cohomology", "--fixture", "loop", "--resolution", "5"], 64),
         (["charges", "--model", "nodal-loop-real", "--param", "m=2", "--grid", "16",
           "--tube-radius=nan"], 64),
+        # options a subcommand never reads are refused, not ignored
+        (["cohomology", "--fixture", "none", "--resolution", "8", "--model", "no-such-model",
+          "--mesh", "0x0", "--grid", "9999"], 64),
+        (["locate", "--model", "weyl-lattice", "--param", "m=2", "--mesh", "0x0",
+          "--tube-radius", "5"], 64),
+        (["link", "--model", "weyl-lattice", "--param", "m=2", "--mesh", "banana"], 64),
+        (["scan", "--model", "weyl-lattice", "--param", "m=2", "--grid", "1000",
+          "--tube-radius", "3"], 64),
     ])
     def test_module_exit_status(self, tmp_path, argv, code):
         src = os.path.dirname(os.path.dirname(bt.__file__))
@@ -129,7 +137,7 @@ class TestSizeValidation:
                            "--out", str(tmp_path)])
         assert code == 64
         err = capsys.readouterr().err
-        assert "--mesh sizes must be at least 3" in err
+        assert "argument --mesh: mesh sizes must be at least 3" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("grid", ["1", "7", "-3", "8.5"])
@@ -150,12 +158,14 @@ class TestSizeValidation:
         assert not list(tmp_path.iterdir())
 
     def test_smallest_sizes_accepted(self, tmp_path):
+        # scan reads --mesh but no --grid; locate reads --grid
         code = run(["scan", "--model", "weyl-lattice", "--param", "m=2",
-                    "--grid", "8", "--mesh", "3x3", "--values", "2.0",
-                    "--out", str(tmp_path)])
+                    "--mesh", "3x3", "--values", "2.0", "--out", str(tmp_path)])
         assert code == 0
         rows = (tmp_path / "scan.csv").read_text().strip().splitlines()
         assert rows[1] == "2.0,0,0,"
+        assert run(["locate", "--model", "weyl-lattice", "--param", "m=2",
+                    "--grid", "8", "--out", str(tmp_path)]) == 0
 
 
 class TestVerify:
@@ -283,6 +293,29 @@ class TestMalformedModelConfig:
         assert code == 64
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestOccupiedRank:
+    def test_one_occupied_band_reports_w1_and_notes_w2(self, tmp_path):
+        # w2 needs two occupied bands: at rank 1 every Fermi loop says why it
+        # has none, and the report still succeeds
+        cfg = bt.builtin("four-band-linked-lattice", m=1).to_config()
+        cfg["occupied_count"] = 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(cfg))
+        code = run(["report", "--config", str(path), "--grid", "16",
+                    "--out", str(tmp_path / "out")])
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        entries = report["charges"]["entries"]
+        loops = [e for e in entries if e["kind"] == "loop"]
+        assert loops and all(e["berry_w1"] is not None for e in loops)
+        fermi = [e for e in loops if e["gap_index"] == 1]
+        assert fermi
+        for e in fermi:
+            assert e["w2"] is None
+            assert "exactly 2 occupied bands" in e["notes"]
+            assert "1 occupied of 4" in e["notes"]
 
 
 class TestLedgerFileRoundTrip:

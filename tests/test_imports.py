@@ -1,8 +1,9 @@
 """Import graph: scipy and sympy load only in the functions that use them.
 
 Each check runs in a fresh interpreter, since this test process has already
-imported scipy through conftest.  A static check also parses the package:
-every module-level constant must be read somewhere.
+imported scipy through conftest.  Static checks also parse the package:
+every module-level constant and every module-level private function must
+be read somewhere.
 """
 
 import ast
@@ -74,6 +75,18 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _names_read(paths):
+    """Every name loaded, and every attribute named, in the given files."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def test_every_module_constant_is_read():
     """A module-level UPPER_CASE name in ``src/bandtopo`` is read by name or
     as an attribute somewhere in the package or the benchmark: a tolerance
@@ -93,15 +106,24 @@ def test_every_module_constant_is_read():
                 (path.name, t.id) for t in targets
                 if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)
             ]
-    read = set()
-    for path in package + sorted(BENCH.rglob("*.py")):
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _names_read(package + sorted(BENCH.rglob("*.py")))
     assert len(defined) > 20
     assert [f"{mod}:{name}" for mod, name in defined if name not in read] == []
+
+
+def test_every_private_function_is_read():
+    """A module-level ``_name`` function in ``src/bandtopo`` is read by name
+    or as an attribute somewhere in the package: a helper that only tests
+    call is dead code."""
+    package = sorted(PACKAGE.glob("*.py"))
+    defined = [
+        f"{path.name}:{node.name}" for path in package for node in _parse(path).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    read = _names_read(package)
+    assert len(defined) > 20
+    assert [d for d in defined if d.split(":")[1] not in read] == []
 
 
 def test_no_module_imports_scipy_optimize():

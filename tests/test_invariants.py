@@ -24,7 +24,6 @@ from conftest import (
     reference_holonomy,
     reference_quads,
     reference_spherical_area,
-    reference_w2_general,
 )
 
 
@@ -457,7 +456,7 @@ class TestFrameReuse:
                               other_components=[four_band_locus.open_arcs[0].vertices])
         bt.validate(tube, four_band)
         del eig_calls[:]
-        bt.w2_on(four_band, tube, occupied_count=3)
+        assert bt.chern_flux(four_band, tube, occupied_count=1).value == 0
         assert eig_calls == [(len(tube.points),)]
 
     def test_other_model_takes_fresh_frames(self, weyl2, eig_calls):
@@ -603,20 +602,14 @@ class TestW2:
         bt.validate(tube, four_band)
         assert bt.w2_on(four_band, tube.reversed()).value == bt.w2_on(four_band, tube).value
 
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_general_path_matches_reference(self, four_band, four_band_locus, reverse):
+    def test_occupied_rank_other_than_two_unsupported(self, four_band, four_band_locus):
         loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
         tube = bt.tube_around(loop, 0.25, 32, 32,
                               other_components=[four_band_locus.open_arcs[0].vertices])
         bt.validate(tube, four_band)
-        if reverse:
-            tube = tube.reversed()
-        res = bt.w2_on(four_band, tube, occupied_count=3, keep_spectrum=True)
-        count, spectrum = reference_w2_general(tube, frames_at(four_band, tube.points, 3))
-        assert res.crossing_count == count
-        assert res.spectrum.dtype == spectrum.dtype
-        assert res.spectrum.tobytes() == spectrum.tobytes()
+        for occupied in (1, 3):
+            with pytest.raises(UnsupportedModelError, match="exactly 2 occupied bands"):
+                bt.w2_on(four_band, tube, occupied_count=occupied)
 
 
 class TestChernScan:
@@ -662,6 +655,6 @@ class TestRecords:
         loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
         tube = bt.tube_around(loop, 0.25, 32, 32)
         bt.validate(tube, four_band)
-        res = bt.w2_on(four_band, tube, keep_spectrum=True)
+        res = bt.w2_on(four_band, tube)
         rec = res.to_record(include_spectrum=True)
         assert len(rec["spectrum"]) == res.mesh[1] + 1

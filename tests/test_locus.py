@@ -13,7 +13,6 @@ from conftest import (
     gapped_model,
     random_two_band,
     reference_cluster_cells,
-    reference_normal_basis,
     reference_transverse_slope,
 )
 
@@ -183,7 +182,9 @@ class TestTraceLoops:
         h1 = CoefficientSpec([("cos", (0, 0, 1), 1.0), ("cos", (0, 0, 0), -0.3)])
         field = TwoBandField([h1, CoefficientSpec([]), CoefficientSpec([])])
         m = model_from_field("nodal-surface", field, reality=True)
-        with pytest.raises(LocusAmbiguityError):
+        # the crossing Jacobian has rank 1 on a sheet: its second singular
+        # value, the flattest transverse slope, is exactly 0
+        with pytest.raises(LocusAmbiguityError, match=r"gap slope 0\.00e\+00"):
             bt.extract_locus(m, resolution=16)
 
     def test_consecutive_vertex_spacing(self, nodal_loop2_locus):
@@ -323,32 +324,41 @@ def scan_spacing(model, resolution=32):
     return bt.locus.ScanGrid(model, resolution).spacing
 
 
-class TestBatchedKernels:
-    """The batched kernels give bitwise the pointwise results of the
-    references in conftest."""
+class TestCurveSlopes:
+    """The transverse gap slopes of a traced curve come from the crossing
+    Jacobian at its vertices: 2 min s1 and 2 max s0."""
 
-    @pytest.mark.parametrize("name", BUILTIN_LOCI[1:])
-    def test_transverse_slope_bitwise(self, request, name):
-        from bandtopo.locus import _transverse_slope
+    @pytest.mark.parametrize("name", [*BUILTIN_LOCI[1:], "four_band_lattice_093"])
+    def test_jacobian_slopes_match_probes(self, request, name):
+        from bandtopo.locus import _singular_values
 
-        locus, model = locus_and_model(request, name)
+        if name in BUILTIN_LOCI:
+            locus, model = locus_and_model(request, name)
+        else:
+            model = bt.builtin("four-band-linked-lattice", m=0.93)
+            locus = bt.extract_locus(model, resolution=32)
         spacing = scan_spacing(model)
-        for curve in (*locus.loops, *locus.open_arcs):
-            got = _transverse_slope(model, curve.vertices, curve.gap_index, spacing)
-            ref = reference_transverse_slope(model, curve.vertices, curve.gap_index, spacing)
-            assert got == ref
+        curves = (*locus.loops, *locus.open_arcs)
+        assert curves
+        for curve in curves:
+            s = np.array([_singular_values(model, v, curve.gap_index) for v in curve.vertices])
+            probe_min, probe_max = reference_transverse_slope(
+                model, curve.vertices, curve.gap_index, spacing
+            )
+            assert 0.9 <= 2.0 * s[:, 1].min() / probe_min <= 1.15
+            assert 0.9 <= 2.0 * s[:, 0].max() / probe_max <= 1.15
 
-    def test_normal_basis_bitwise(self, four_band_lattice_locus):
-        from bandtopo.locus import _normal_basis
+    def test_one_spectrum_call_per_scan_block_and_cluster(self, monkeypatch):
+        # the curve tracer reads the gap from its own eigenframes: the only
+        # spectrum calls left are the scan's blocks and one seed per cluster
+        from bandtopo.locus import SCAN_BLOCK, _cluster_cells
 
-        rng = np.random.default_rng(14)
-        tangents = [*rng.normal(size=(100, 3)), np.array([0.0, 0.0, 1.0]),
-                    np.array([-1.0, 0.0, -0.0]), np.array([1e-300, 2.0, -3.0])]
-        for loop in four_band_lattice_locus.loops:
-            tangents += list(np.diff(loop.vertices, axis=0))
-        for t in tangents:
-            got, ref = _normal_basis(t), reference_normal_basis(t)
-            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+        model = bt.builtin("four-band-linked-lattice", m=1)
+        scan = scan_grid(model, resolution=32)
+        clusters = sum(len(_cluster_cells(cells, 32, True)) for cells in scan.flagged.values())
+        calls = count_spectrum_calls(monkeypatch)
+        bt.extract_locus(model, resolution=32)
+        assert len(calls) == math.ceil(32 ** 3 / SCAN_BLOCK) + clusters
 
 
 def random_cell_sets():
