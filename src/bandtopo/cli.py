@@ -194,6 +194,15 @@ def _write_json(args, name, payload):
     return path
 
 
+def _verdict_lines(verdicts, lines):
+    """Append a PASS, FAIL or N/A line with its detail for each verdict;
+    the exit status they give."""
+    for v in verdicts:
+        status = "N/A" if not v.applicable else "PASS" if v.passed else "FAIL"
+        lines.append(f"  {status} {v.name}: {v.detail}")
+    return EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERIFY_FAILED
+
+
 def _emit(args, payload, lines):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -314,12 +323,10 @@ def cmd_verify(args):
     payload = ledger.to_json()
     path = _write_json(args, "verify.json", payload)
     lines = [f"model: {model.name}"]
-    for v in ledger.verdicts:
-        status = "PASS" if v.passed else "FAIL"
-        lines.append(f"  {status} {v.name}: {v.detail}")
+    status = _verdict_lines(ledger.verdicts, lines)
     lines.append(f"wrote {path}")
     _emit(args, payload, lines)
-    return EXIT_OK if ledger.all_passed else EXIT_VERIFY_FAILED
+    return status
 
 
 def cmd_scan(args):
@@ -385,11 +392,6 @@ FIXTURES = ("none", "point", "loop", "link", "torsion")
 LOOP_FIXTURE_MIN_RESOLUTION = 8
 
 
-def _loop_square(resolution):
-    """(lo, hi): the loop fixture's square spans [lo, hi] on x and y."""
-    return 2, max(resolution - 4, resolution // 2 + 2)
-
-
 def _fixture_locus(name, resolution):
     if name == "point":
         return [voxel_point((resolution // 2,) * 3)]
@@ -399,8 +401,8 @@ def _fixture_locus(name, resolution):
                 f"--fixture loop needs --resolution >= {LOOP_FIXTURE_MIN_RESOLUTION}, "
                 f"got {resolution}"
             )
-        lo, hi = _loop_square(resolution)
-        return [voxel_rect_loop(resolution, lo=lo, hi=hi, plane_z=resolution // 2)]
+        hi = max(resolution - 4, resolution // 2 + 2)
+        return [voxel_rect_loop(resolution, lo=2, hi=hi, plane_z=resolution // 2)]
     if name == "link":
         try:
             return voxel_hopf_link(resolution)
@@ -428,21 +430,15 @@ def _locus_from_file(path, resolution):
     return locus
 
 
-def _tube_voxels(args):
-    """``--tube-voxels``, by default 2, or 1 where a radius-2 tube would touch
-    itself: around the link fixture, and around the loop fixture when its
-    square, or the gap outside it across the torus, spans fewer than
-    2r + 2 = 6 cells (resolution below 12)."""
+def _decompose(args, locus):
+    """The tube decomposition at ``--tube-voxels``; by default at radius 2,
+    or at radius 1 where complement_complex rejects radius 2."""
     if args.tube_voxels is not None:
-        return args.tube_voxels
-    if not args.from_locus:
-        if args.fixture == "link":
-            return 1
-        if args.fixture == "loop":
-            lo, hi = _loop_square(args.resolution)
-            if min(hi - lo, args.resolution - (hi - lo)) < 2 * 2 + 2:
-                return 1
-    return 2
+        return complement_complex(args.resolution, locus, tube_voxels=args.tube_voxels)
+    try:
+        return complement_complex(args.resolution, locus, tube_voxels=2)
+    except ComplexError:
+        return complement_complex(args.resolution, locus, tube_voxels=1)
 
 
 def cmd_cohomology(args):
@@ -473,7 +469,7 @@ def cmd_cohomology(args):
             if args.integral:
                 reports.append(uct_check(cx))
         else:
-            dec = complement_complex(resolution, locus, tube_voxels=_tube_voxels(args))
+            dec = _decompose(args, locus)
             spaces = {
                 "total": dec.total,
                 "complement": dec.complement,
@@ -513,14 +509,10 @@ def cmd_cohomology(args):
                 f"  {t['space']:>24} [{coeff:>2}]: ranks {rec['ranks']}"
                 + (f" torsion {rec['torsion']}" if any(rec["torsion"]) else "")
             )
-    ok = True
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        ok = ok and r.passed
-        lines.append(f"  {status} {r.name}: {r.detail}")
+    status = _verdict_lines(reports, lines)
     lines.append(f"wrote {path}")
     _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return status
 
 
 def cmd_report(args):
@@ -545,11 +537,10 @@ def cmd_report(args):
         f"{sum(1 for c in comps if c.kind == 'loop')} loops, "
         f"{sum(1 for c in comps if c.kind == 'arc')} arcs)"
     )
-    for v in ledger.verdicts:
-        lines.append(f"  {'PASS' if v.passed else 'FAIL'} {v.name}")
+    status = _verdict_lines(ledger.verdicts, lines)
     lines.append(f"wrote {path}")
     _emit(args, payload, lines)
-    return EXIT_OK if ledger.all_passed else EXIT_VERIFY_FAILED
+    return status
 
 
 def build_parser():
@@ -595,8 +586,8 @@ def build_parser():
     p.add_argument("--resolution", type=_complex_resolution, default=16,
                    help="cubes per axis of T^3 (at least 4)")
     p.add_argument("--tube-voxels", type=_tube_voxel_radius, default=None,
-                   help="tube radius in voxels (default 1 for --fixture link and "
-                   "for --fixture loop below resolution 12, else 2)")
+                   help="tube radius in voxels (default 2, or 1 where a radius-2 "
+                   "tube touches itself or fills the torus)")
     p.add_argument("--integral", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_cohomology)
 

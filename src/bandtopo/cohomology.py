@@ -423,7 +423,7 @@ class ComplementDecomposition:
     tube_voxels: int
 
 
-def complement_complex(resolution, locus, tube_voxels=2, total=None):
+def complement_complex(resolution, locus, tube_voxels=2):
     """Split T^3 into tube neighbourhood, complement, and shared boundary.
 
     ``locus`` is a list of voxel components (see voxel_point /
@@ -437,7 +437,7 @@ def complement_complex(resolution, locus, tube_voxels=2, total=None):
     if r < 1:
         raise ComplexError("tube_voxels must be >= 1")
     _validate_locus(locus, n)
-    parent = total if total is not None else torus_complex(n)
+    parent = torus_complex(n)
 
     ball = np.zeros((n, n, n), dtype=bool)
     for comp in locus:
@@ -531,18 +531,27 @@ def klein_complex(resolution=8):
 
 
 @dataclass
-class CheckReport:
+class Verdict:
+    """The outcome of one check.  A check that cannot apply passes with
+    ``applicable`` False, and its detail reads "not applicable: <reason>"."""
+
     name: str
     passed: bool
-    table: dict
     detail: str = ""
+    applicable: bool = True
+    table: dict | None = None
+
+    @classmethod
+    def not_applicable(cls, name, reason):
+        return cls(name, True, f"not applicable: {reason}", applicable=False)
 
     def to_record(self):
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "table": self.table,
             "detail": self.detail,
+            "applicable": bool(self.applicable),
+            "table": self.table,
         }
 
 
@@ -605,11 +614,11 @@ def mv_dimension_check(total, complement, tube, boundary, coefficients="Q",
         f"(tube components {betti['tube'][0]}); "
         f"(c) ker(sum map) dim = {kernel_dim}"
     )
-    return CheckReport(
-        name=f"mv_dimension_check[{coefficients}]",
-        passed=bool(ok_a and ok_b and ok_c and ok_tube),
+    return Verdict(
+        f"mv_dimension_check[{coefficients}]",
+        bool(ok_a and ok_b and ok_c and ok_tube),
+        detail,
         table=table,
-        detail=detail,
     )
 
 
@@ -633,9 +642,6 @@ def uct_check(cx):
         f"torsion-free: {torsion_free}; "
         f"rank_Z {list(integral.ranks)} vs dim_Z2 {list(mod2.ranks)}"
     )
-    return CheckReport(
-        name=f"uct_check[{cx.name}]",
-        passed=bool(torsion_free and dims_match),
-        table=table,
-        detail=detail,
+    return Verdict(
+        f"uct_check[{cx.name}]", bool(torsion_free and dims_match), detail, table=table
     )

@@ -32,6 +32,8 @@ from .surfaces import SLICE, SPHERE, slice_torus, validate
 
 CHERN_RESIDUAL_TOL = 0.01
 DEGREE_RESIDUAL_TOL = 0.05
+# a loop whose gap falls to this is too close to W for its frames
+LOOP_MIN_GAP = 0.01
 W2_FLAT_TOL = 1e-5
 
 
@@ -343,7 +345,7 @@ def _total_plaquette_flux(frames, surface):
 # -- map degree -------------------------------------------------------------------
 
 
-def degree(fld, surface, residual_tol=DEGREE_RESIDUAL_TOL):
+def degree(fld, surface):
     """Degree of the normalized two-band field over a closed surface.
 
     Sums the signed spherical areas of the normalized-field images of the
@@ -359,9 +361,9 @@ def degree(fld, surface, residual_tol=DEGREE_RESIDUAL_TOL):
     raw = surface.spherical_area(h / norms[..., None]) / (4.0 * math.pi)
     value = int(np.rint(raw))
     residual = abs(raw - value)
-    if residual >= residual_tol:
+    if residual >= DEGREE_RESIDUAL_TOL:
         raise MeshResolutionError(
-            f"degree residual {residual:.4f} >= {residual_tol}", residual=residual
+            f"degree residual {residual:.4f} >= {DEGREE_RESIDUAL_TOL}", residual=residual
         )
     return Chirality(
         value=value,
@@ -375,11 +377,11 @@ def degree(fld, surface, residual_tol=DEGREE_RESIDUAL_TOL):
 # -- Berry phase and first Stiefel-Whitney charge -----------------------------------
 
 
-def loop_frames(model, loop, occupied_count=None, min_gap=0.01):
+def loop_frames(model, loop):
     """Occupied frames at the vertices of a closed loop, once the gap along
-    it (vertices and edge midpoints) has been checked to exceed min_gap."""
-    _check_loop_gap(model, loop, min_gap)
-    return frames_at(model, np.asarray(loop.vertices, dtype=float), occupied=occupied_count)
+    it (vertices and edge midpoints) has been checked to exceed LOOP_MIN_GAP."""
+    _check_loop_gap(model, loop, LOOP_MIN_GAP)
+    return frames_at(model, np.asarray(loop.vertices, dtype=float))
 
 
 def _loop_holonomy(frames):
@@ -403,7 +405,7 @@ def _check_loop_gap(model, loop, min_gap):
     return gap
 
 
-def berry_phase(model, loop, occupied_count=None, min_gap=0.01, frames=None):
+def berry_phase(model, loop, frames=None):
     """Berry phase of the occupied frame around a closed loop, in [0, 2 pi).
 
     For reality-flagged models the nearest quantized value in {0, pi} and
@@ -411,7 +413,7 @@ def berry_phase(model, loop, occupied_count=None, min_gap=0.01, frames=None):
     gap-checked frames of ``loop_frames``.
     """
     if frames is None:
-        frames = loop_frames(model, loop, occupied_count, min_gap)
+        frames = loop_frames(model, loop)
     n = frames.shape[0]
     phase = (-np.angle(np.linalg.det(_loop_holonomy(frames)))) % TWO_PI
     quantized = None
@@ -430,14 +432,14 @@ def berry_phase(model, loop, occupied_count=None, min_gap=0.01, frames=None):
     )
 
 
-def w1_along(model, loop, occupied_count=None, min_gap=0.01, frames=None):
+def w1_along(model, loop, frames=None):
     """First Stiefel-Whitney charge of a loop: 1 iff the real occupied frame
     returns orientation-reversed after parallel transport around it.
     ``frames``, if given, are the gap-checked frames of ``loop_frames``."""
     if not model.reality:
         raise UnsupportedModelError("w1 requires a reality-flagged model")
     if frames is None:
-        frames = loop_frames(model, loop, occupied_count, min_gap)
+        frames = loop_frames(model, loop)
     if np.iscomplexobj(frames):
         raise UnsupportedModelError("w1 requires real eigenframes")
     det = float(np.linalg.det(_loop_holonomy(frames)))
@@ -447,7 +449,7 @@ def w1_along(model, loop, occupied_count=None, min_gap=0.01, frames=None):
 # -- second Stiefel-Whitney charge ---------------------------------------------------
 
 
-def w2_on(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_TOL):
+def w2_on(model, surface, occupied_count=None):
     """Z2 monopole charge of a validated closed surface of a real model with
     exactly two occupied bands.
 
@@ -468,7 +470,7 @@ def w2_on(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_TOL):
             "w2 is computed for exactly 2 occupied bands of a >= 4 band model; "
             f"this one has {occ} occupied of {model.band_count}"
         )
-    _require_validated(surface, model, 10.0 * residual_tol)
+    _require_validated(surface, model, 10.0 * CHERN_RESIDUAL_TOL)
     frames = _surface_frames(model, surface, occ)
     if np.iscomplexobj(frames):
         raise UnsupportedModelError("w2 requires real eigenframes")
@@ -567,8 +569,7 @@ def _w2_rank2(surface, frames):
 # -- slice scans ----------------------------------------------------------------
 
 
-def chern_scan(model, axis, values, occupied_count=None, n_u=64, n_v=64,
-               residual_tol=CHERN_RESIDUAL_TOL):
+def chern_scan(model, axis, values, n_u=64, n_v=64):
     """Slice Chern numbers at a list of fixed-coordinate values.
 
     Slices that intersect the nodal set (min gap at or below the 10x
@@ -577,7 +578,7 @@ def chern_scan(model, axis, values, occupied_count=None, n_u=64, n_v=64,
     if not model.domain.is_torus:
         raise UnsupportedModelError("slice scans require a lattice (torus) model")
     out = []
-    floor = 10.0 * residual_tol
+    floor = 10.0 * CHERN_RESIDUAL_TOL
     for value in values:
         surf = slice_torus(axis, value, n_u, n_v)
         mg = validate(surf, model)
@@ -589,6 +590,6 @@ def chern_scan(model, axis, values, occupied_count=None, n_u=64, n_v=64,
                 )
             )
             continue
-        ch = chern_flux(model, surf, occupied_count, residual_tol=residual_tol)
+        ch = chern_flux(model, surf)
         out.append(SliceChern(float(value), ch))
     return out

@@ -86,8 +86,7 @@ def gauss_pair_sum(verts_a, verts_b):
     return float(np.sum(omega)) / (4.0 * math.pi)
 
 
-def linking_number(loop_a, loop_b, pair=("A", "B"), residual_tol=LINKING_RESIDUAL_TOL,
-                   on_torus=False, closure=None):
+def linking_number(loop_a, loop_b, pair=("A", "B"), on_torus=False, closure=None):
     """Linking number of two disjoint closed polylines via the Gauss sum.
 
     On the torus both loops must be contractible (zero winding); the
@@ -123,33 +122,29 @@ def linking_number(loop_a, loop_b, pair=("A", "B"), residual_tol=LINKING_RESIDUA
     raw = gauss_pair_sum(va, vb)
     value = int(np.rint(raw))
     residual = abs(raw - value)
-    if residual >= residual_tol:
+    if residual >= LINKING_RESIDUAL_TOL:
         raise LinkingError(
-            f"Gauss sum {raw:.4f} is not integer to within {residual_tol}"
+            f"Gauss sum {raw:.4f} is not integer to within {LINKING_RESIDUAL_TOL}"
         )
     return LinkingResult(
         value=value, pair=tuple(pair), residual=residual, closure=closure
     )
 
 
-def close_arc(arc, distance=200.0, direction=None):
+def close_arc(arc, distance=200.0):
     """Close an open arc with a rectangular far-field return path.
 
-    The return path runs from the last vertex out by ``distance`` along
-    ``direction`` (default: the axis least aligned with the arc's chord),
-    across, and back to the first vertex.  The convention is recorded on
-    the result so downstream reports can flag it.
+    The return path runs from the last vertex out by ``distance`` along the
+    axis least aligned with the arc's chord, across, and back to the first
+    vertex.  The convention is recorded on the result so downstream reports
+    can flag it.
     """
     verts = np.asarray(getattr(arc, "vertices", arc), dtype=float)
     chord = verts[-1] - verts[0]
     if np.linalg.norm(chord) < 1e-12:
         return verts, {"closed": False}
-    if direction is None:
-        axis = int(np.argmin(np.abs(chord)))
-        direction = np.zeros(3)
-        direction[axis] = 1.0
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = np.zeros(3)
+    direction[int(np.argmin(np.abs(chord)))] = 1.0
     far_end = verts[-1] + distance * direction
     far_start = verts[0] + distance * direction
     closed = np.vstack([verts, far_end, far_start])
@@ -161,7 +156,7 @@ def close_arc(arc, distance=200.0, direction=None):
     return closed, meta
 
 
-def linking_matrix(components, on_torus=False, residual_tol=LINKING_RESIDUAL_TOL):
+def linking_matrix(components, on_torus=False):
     """Pairwise linking numbers over loop/arc components.
 
     Returns ``{"pairs": [...], "skipped": [...]}``; arcs are closed by the
@@ -188,8 +183,8 @@ def linking_matrix(components, on_torus=False, residual_tol=LINKING_RESIDUAL_TOL
                 closure[id_b] = meta_b
             try:
                 res = linking_number(
-                    la, lb, pair=(id_a, id_b), residual_tol=residual_tol,
-                    on_torus=on_torus, closure=closure or None,
+                    la, lb, pair=(id_a, id_b), on_torus=on_torus,
+                    closure=closure or None,
                 )
                 pairs.append(res.to_record())
             except LinkingError as exc:

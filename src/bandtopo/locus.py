@@ -30,7 +30,10 @@ from .exceptions import LocusAmbiguityError, RefinementError
 from .model import TWO_PI, as_k_array, reduce_torus, torus_delta
 
 POINT_TOL = 1e-8
+POINT_MAX_ITER = 60
 VERTEX_TOL = 1e-6
+# curve-tracer step, in grid spacings
+STEP_FACTOR = 0.6
 MIN_SCAN_RESOLUTION = 8
 # a cluster whose seed crossing Jacobian has (s_min / s_max)^2 above this is
 # tried as a point first, and kept only if the ratio at the refined zero
@@ -238,8 +241,8 @@ def _point_ratio(s):
 # -- refinement --------------------------------------------------------------
 
 
-def refine_point(model, seed, gap_index=None, tol=POINT_TOL, max_iter=60):
-    """Refine a gap zero to a WeylPoint with residual gap below tol.
+def refine_point(model, seed, gap_index=None):
+    """Refine a gap zero to a WeylPoint with residual gap below POINT_TOL.
 
     Damped rank-3 Newton on the crossing field d of ``_crossing``: each
     step is halved until the gap falls.  Raises RefinementError on
@@ -249,7 +252,7 @@ def refine_point(model, seed, gap_index=None, tol=POINT_TOL, max_iter=60):
     k = np.array(as_k_array(seed), dtype=float)
     gap, d, jac = _crossing(model, k, g)
     iterations = 0
-    while gap >= tol and iterations < max_iter:
+    while gap >= POINT_TOL and iterations < POINT_MAX_ITER:
         step = _newton(jac, d, 3)[0]
         for _ in range(20):
             trial = k + step
@@ -263,9 +266,9 @@ def refine_point(model, seed, gap_index=None, tol=POINT_TOL, max_iter=60):
         k = trial
         gap, d, jac = crossing
         iterations += 1
-    if gap >= tol or not np.all(np.isfinite(k)):
+    if gap >= POINT_TOL or not np.all(np.isfinite(k)):
         raise RefinementError(
-            f"refinement did not reach gap < {tol:g} (residual {gap:.3e})",
+            f"refinement did not reach gap < {POINT_TOL:g} (residual {gap:.3e})",
             residual=gap,
             position=k,
             iterations=iterations,
@@ -280,7 +283,7 @@ def _canonical_position(model, k):
 # -- curve tracing ------------------------------------------------------------
 
 
-def _correct_to_curve(model, k, gap_index, tol, reach, max_iter=40):
+def _correct_to_curve(model, k, gap_index, reach, max_iter=40):
     """Pull a point onto the zero curve by rank-2 Newton, which steps normal
     to the curve, each step at most ``reach`` long.  Returns the point with,
     from the crossing Jacobian J there, the curve tangent, the gap and J's
@@ -291,7 +294,7 @@ def _correct_to_curve(model, k, gap_index, tol, reach, max_iter=40):
             return k, None, None, None
         gap, d, jac = _crossing(model, k, gap_index)
         step, tangent, s = _newton(jac, d, 2)
-        if gap < tol:
+        if gap < VERTEX_TOL:
             return k, tangent, gap, s
         norm = np.linalg.norm(step)
         if norm < 1e-14:
@@ -302,7 +305,7 @@ def _correct_to_curve(model, k, gap_index, tol, reach, max_iter=40):
     )
 
 
-def _march_curve(model, start, gap_index, step, tol):
+def _march_curve(model, start, gap_index, step):
     """March along the zero curve from a corrected ``start`` (the output of
     ``_correct_to_curve``), steering by the last chord; an open arc is
     marched both ways and joined.
@@ -321,7 +324,7 @@ def _march_curve(model, start, gap_index, step, tol):
             pred = last + step * d
             if not model.domain.contains(pred):
                 return rows, False, None
-            cur, tangent, gap, s = _correct_to_curve(model, pred, gap_index, tol, 0.5 * step)
+            cur, tangent, gap, s = _correct_to_curve(model, pred, gap_index, 0.5 * step)
             if tangent is None:
                 return rows, False, None
             d_new = cur - last
@@ -545,15 +548,12 @@ def _point_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_boun
     return point
 
 
-def _curve_from_cluster(model, grid, cluster, centers, seed, gap_index, step_factor,
-                        vertex_tol, gap_bound):
-    step = step_factor * grid.spacing
-    start = _correct_to_curve(model, seed, gap_index, vertex_tol, 0.4 * grid.spacing)
+def _curve_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_bound):
+    step = STEP_FACTOR * grid.spacing
+    start = _correct_to_curve(model, seed, gap_index, 0.4 * grid.spacing)
     if start[1] is None:
         raise RefinementError("curve corrector left the box", position=start[0])
-    verts, gaps, svals, closed, winding = _march_curve(
-        model, start, gap_index, step, vertex_tol
-    )
+    verts, gaps, svals, closed, winding = _march_curve(model, start, gap_index, step)
     # the gap rises as 2 |J dk| across the curve: 2 s1 in the flattest normal
     # direction, 2 s0 in the steepest
     slope_min, slope_max = 2.0 * float(svals[:, 1].min()), 2.0 * float(svals[:, 0].max())
@@ -590,8 +590,7 @@ def _coverage_limit(grid, gap_bound, slope):
     return min(reach, 12.0 * grid.spacing) + 2.5 * grid.spacing * math.sqrt(3.0)
 
 
-def _classify_cluster(model, grid, cluster, gap_index, step_factor, vertex_tol,
-                      gap_bound):
+def _classify_cluster(model, grid, cluster, gap_index, gap_bound):
     """Resolve one flagged-cell cluster into a point, loop, arc, or None
     (spurious near-gap region with no actual zero).
 
@@ -621,8 +620,7 @@ def _classify_cluster(model, grid, cluster, gap_index, step_factor, vertex_tol,
         # those always propagate; refinement errors mean no zero was reached
         # and the cluster may still be an isolated point or spurious
         return _curve_from_cluster(
-            model, grid, cluster, centers, seed, gap_index, step_factor, vertex_tol,
-            gap_bound,
+            model, grid, cluster, centers, seed, gap_index, gap_bound
         )
     except RefinementError as curve_exc:
         try:
@@ -647,7 +645,7 @@ def _cluster_gap_bound(scan, cluster, gap_index):
     return max(vals) if vals else scan.gap_threshold[gap_index]
 
 
-def _resolve_clusters(model, scan, step_factor, vertex_tol):
+def _resolve_clusters(model, scan):
     """Points, loops and arcs of every flagged-cell cluster of a scan, in gap
     and cluster order; spurious clusters are dropped.
 
@@ -659,8 +657,7 @@ def _resolve_clusters(model, scan, step_factor, vertex_tol):
     for g in sorted(scan.flagged):
         for cluster in _cluster_cells(scan.flagged[g], grid.resolution, grid.torus):
             item = _classify_cluster(
-                model, grid, cluster, g, step_factor, vertex_tol,
-                _cluster_gap_bound(scan, cluster, g),
+                model, grid, cluster, g, _cluster_gap_bound(scan, cluster, g)
             )
             if item is not None:
                 items.append(item)
@@ -691,13 +688,9 @@ def _check_coverage(verts, centers, grid, cluster, gap_index, limit):
         )
 
 
-def extract_locus(model, resolution=48, gap_threshold=None, gap_index=None,
-                  step_factor=0.6, vertex_tol=VERTEX_TOL):
+def extract_locus(model, resolution=48):
     """Scan, classify, refine and trace: the full locus of a model."""
-    scan = scan_grid(
-        model, resolution=resolution, gap_threshold=gap_threshold, gap_index=gap_index,
-    )
-    items = _resolve_clusters(model, scan, step_factor, vertex_tol)
+    items = _resolve_clusters(model, scan_grid(model, resolution=resolution))
     return NodalLocus(
         points=_dedupe_points(_of_kind(items, WeylPoint), model.domain.is_torus),
         loops=_of_kind(items, NodalLoop),

@@ -1,9 +1,12 @@
 """Charge-cancellation harness.
 
-Assembles per-component charges into a ChargeLedger and checks the global
-consistency conditions that exactness of the Mayer-Vietoris sequence
-imposes: point chiralities sum to zero, Fermi-loop Z2 monopole charges sum
-to zero mod 2, and slice Chern numbers jump by the enclosed chirality.
+Assembles per-component charges into a ChargeLedger and checks the laws
+that exactness of the Mayer-Vietoris sequence of the closed T^3 imposes.
+Each law says where it applies, and elsewhere passes as "not applicable"
+with the reason: point chiralities sum to zero (on T^3); slice Chern numbers
+jump by the enclosed chirality (on T^3, complex models, two or more slices
+clear of W); Fermi-loop w2 charges sum to zero mod 2 (on T^3, real models
+of more than two bands whose Fermi loops carry w2).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .cohomology import Verdict
 from .exceptions import LedgerError, ObstructionError, UnsupportedModelError
 from .invariants import (
     berry_phase,
@@ -68,16 +72,6 @@ class LedgerEntry:
 
 
 @dataclass
-class Verdict:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def to_record(self):
-        return {"name": self.name, "passed": bool(self.passed), "detail": self.detail}
-
-
-@dataclass
 class ChargeLedger:
     """Per-component charges with totals and cancellation verdicts."""
 
@@ -124,95 +118,112 @@ class ChargeLedger:
             "verdicts": [v.to_record() for v in self.verdicts],
         }
 
-    @property
-    def all_passed(self):
-        return all(v.passed for v in self.verdicts)
-
 
 # -- cancellation verdicts -----------------------------------------------------
 
 
-def cancellation_chirality(ledger):
-    """Pass iff the point chiralities sum to zero (missing entries error)."""
+OPEN_BOX = "open box: no closed base manifold"
+
+
+def cancellation_chirality(model, ledger):
+    """Pass iff the point chiralities sum to zero (missing entries error).
+    Not applicable on an open box."""
+    name = "cancellation_chirality"
+    if not model.domain.is_torus:
+        return Verdict.not_applicable(name, OPEN_BOX)
     points = ledger.point_entries
     missing = [e.id for e in points if e.chirality is None]
     if missing:
         raise LedgerError(f"points without chirality entries: {missing}")
     total = sum(e.chirality for e in points)
-    return Verdict(
-        "cancellation_chirality",
-        total == 0,
-        f"sum of {len(points)} point chiralities = {total}",
-    )
+    return Verdict(name, total == 0, f"sum of {len(points)} point chiralities = {total}")
 
 
-def cancellation_w2(ledger):
-    """Pass iff the Fermi-level loop monopole charges sum to zero mod 2."""
+def cancellation_w2(model, ledger):
+    """Pass iff the Fermi-level loop monopole charges sum to zero mod 2.
+
+    Not applicable on an open box, on a complex or two-band model, or where
+    a Fermi loop carries no w2 and its notes say why; a Fermi loop with
+    neither is a malformed ledger (LedgerError).
+    """
+    name = "cancellation_w2"
+    if not model.domain.is_torus:
+        return Verdict.not_applicable(name, OPEN_BOX)
+    if not model.reality:
+        return Verdict.not_applicable(name, "complex model")
+    if model.band_count == 2:
+        return Verdict.not_applicable(name, "two-band real model")
     loops = ledger.fermi_loop_entries
-    missing = [e.id for e in loops if e.w2 is None]
+    missing = [e for e in loops if e.w2 is None]
+    unexplained = [e.id for e in missing if not e.notes]
+    if unexplained:
+        raise LedgerError(f"Fermi loops without w2 entries or notes: {unexplained}")
     if missing:
-        raise LedgerError(f"Fermi loops without w2 entries: {missing}")
+        reasons = {}
+        for e in missing:
+            reasons.setdefault(e.notes, []).append(e.id)
+        return Verdict.not_applicable(
+            name, "; ".join(f"{', '.join(ids)}: {note}" for note, ids in reasons.items())
+        )
     total = sum(e.w2 for e in loops) % 2
-    return Verdict(
-        "cancellation_w2",
-        total == 0,
-        f"sum of {len(loops)} loop w2 charges mod 2 = {total}",
-    )
+    return Verdict(name, total == 0, f"sum of {len(loops)} loop w2 charges mod 2 = {total}")
 
 
-def stokes_jump_check(model, axis, ledger, values=None, n_u=64, n_v=64):
+def stokes_jump_check(model, axis, ledger, n_u=64, n_v=64):
     """Pass iff slice Chern jumps match the enclosed point chiralities.
 
-    Slice values default to midpoints between the sorted axis coordinates
-    of the ledger's points (plus the wrap-around midpoint), so every
-    consecutive pair of slices brackets a known set of charges.
+    Slices sit at the midpoints between the sorted axis coordinates of the
+    ledger's points (plus the wrap-around midpoint), so every consecutive
+    pair of slices brackets a known set of charges.  A slice through W is
+    skipped, which merges its two brackets into one.  Not applicable on an
+    open box, on a real model (the slice Chern numbers of real bands
+    vanish), or with fewer than two valid slices.
     """
     from .surfaces import AXES
 
+    name = "stokes_jump_check"
     if not model.domain.is_torus:
-        raise UnsupportedModelError("stokes_jump_check requires a lattice model")
+        return Verdict.not_applicable(name, OPEN_BOX)
+    if model.reality:
+        return Verdict.not_applicable(
+            name, "real model: the slice Chern numbers of real bands vanish"
+        )
     a = AXES[axis]
     points = ledger.point_entries
     missing = [e.id for e in points if e.chirality is None or e.position is None]
     if missing:
         raise LedgerError(f"points without chirality entries: {missing}")
 
-    if values is None:
-        coords = sorted({float(e.position[a]) for e in points})
-        if not coords:
-            values = [-math.pi + TWO_PI * i / 4 for i in range(4)]
-        else:
-            values = []
-            for i, c in enumerate(coords):
-                nxt = coords[(i + 1) % len(coords)]
-                gap = (nxt - c) % TWO_PI
-                values.append((c + gap / 2.0 + math.pi) % TWO_PI - math.pi)
-            values = sorted(values)
+    coords = sorted({float(e.position[a]) for e in points})
+    if not coords:
+        values = [-math.pi + TWO_PI * i / 4 for i in range(4)]
+    else:
+        values = []
+        for i, c in enumerate(coords):
+            gap = (coords[(i + 1) % len(coords)] - c) % TWO_PI
+            values.append((c + gap / 2.0 + math.pi) % TWO_PI - math.pi)
+        values.sort()
     scan = chern_scan(model, axis, values, n_u=n_u, n_v=n_v)
     valid = [s for s in scan if not s.skipped]
-    if len(valid) < len(values):
-        skipped = [s.value for s in scan if s.skipped]
-        raise LedgerError(f"slices through unclassified W at {skipped}")
-
-    ok = True
-    details = []
-    n = len(valid)
-    for i in range(n):
-        s0, s1 = valid[i], valid[(i + 1) % n]
-        expected = 0
-        for e in points:
-            c = float(e.position[a])
-            lo, hi = s0.value, s1.value
-            inside = (lo < c < hi) if i + 1 < n else (c > lo or c < hi)
-            if inside:
-                expected += e.chirality
-        jump = s1.chern.value - s0.chern.value
-        match = jump == expected
-        ok = ok and match
-        details.append(
-            f"[{s0.value:+.3f},{s1.value:+.3f}]: dC={jump} expected={expected}"
+    skipped = [f"{s.value:+.3f}" for s in scan if s.skipped]
+    note = f"skipped through W at [{', '.join(skipped)}]"
+    if len(valid) < 2:
+        return Verdict.not_applicable(
+            name, f"fewer than two valid slices: {len(valid)} of {len(scan)}, {note}"
         )
-    return Verdict("stokes_jump_check", ok, "; ".join(details))
+    ok, details = True, []
+    for s0, s1 in zip(valid, valid[1:] + valid[:1]):
+        lo, hi = s0.value, s1.value
+        expected = sum(  # the last bracket (lo > hi) wraps around the zone
+            e.chirality for e in points
+            if (lo < e.position[a] < hi if lo < hi else not hi <= e.position[a] <= lo)
+        )
+        jump = s1.chern.value - s0.chern.value
+        ok = ok and jump == expected
+        details.append(f"[{lo:+.3f},{hi:+.3f}]: dC={jump} expected={expected}")
+    if skipped:
+        details.append(note)
+    return Verdict(name, ok, "; ".join(details))
 
 
 # -- ledger assembly --------------------------------------------------------------
@@ -320,20 +331,11 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
 
 
 def verify_ledger(model, ledger, axis="z"):
-    """Run every applicable cancellation verdict and attach it to the ledger."""
-    verdicts = []
-    if ledger.point_entries:
-        verdicts.append(cancellation_chirality(ledger))
-        if model.domain.is_torus:
-            verdicts.append(stokes_jump_check(model, axis, ledger))
-    else:
-        verdicts.append(
-            Verdict("cancellation_chirality", True, "no point components")
-        )
-    loops = ledger.fermi_loop_entries
-    if loops and all(e.w2 is not None for e in loops):
-        verdicts.append(cancellation_w2(ledger))
-    elif not loops:
-        verdicts.append(Verdict("cancellation_w2", True, "no Fermi loop components"))
-    ledger.verdicts = verdicts
+    """Attach the three cancellation verdicts, each applicable or saying
+    why not: chirality, Stokes jumps, w2."""
+    ledger.verdicts = [
+        cancellation_chirality(model, ledger),
+        stokes_jump_check(model, axis, ledger),
+        cancellation_w2(model, ledger),
+    ]
     return ledger

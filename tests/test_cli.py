@@ -9,7 +9,7 @@ import pytest
 import bandtopo as bt
 from bandtopo.cli import main
 
-from conftest import gapped_model
+from conftest import gapped_model, random_two_band
 
 
 def run(args):
@@ -84,7 +84,9 @@ class TestLocate:
 
 
 class TestExitCodes:
-    """The process exit status equals ``main``'s return value."""
+    """Each argv gives its exit code from ``main``, in this process, without
+    a traceback; the ``python -m bandtopo.cli`` entry path exits with
+    ``main``'s return value."""
 
     @pytest.mark.parametrize("argv, code", [
         (["--version"], 0),
@@ -110,15 +112,21 @@ class TestExitCodes:
         (["scan", "--model", "weyl-lattice", "--param", "m=2", "--grid", "1000",
           "--tube-radius", "3"], 64),
     ])
-    def test_module_exit_status(self, tmp_path, argv, code):
+    def test_module_exit_status(self, tmp_path, monkeypatch, capsys, argv, code):
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_python_m_entry_exit_status(self, tmp_path):
         src = os.path.dirname(os.path.dirname(bt.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "bandtopo.cli", *argv],
+            [sys.executable, "-m", "bandtopo.cli", "verify", "--model", "weyl-lattice",
+             "--param", "m=2", "--ledger-file", "missing.json"],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
         )
-        assert proc.returncode == code
+        assert proc.returncode == 64
         assert "Traceback" not in proc.stderr
 
 
@@ -316,6 +324,74 @@ class TestOccupiedRank:
             assert e["w2"] is None
             assert "exactly 2 occupied bands" in e["notes"]
             assert "1 occupied of 4" in e["notes"]
+        (w2,) = [v for v in report["charges"]["verdicts"] if v["name"] == "cancellation_w2"]
+        assert w2["passed"] and not w2["applicable"]
+        assert w2["detail"].startswith("not applicable: ")
+        assert all(e["id"] in w2["detail"] for e in fermi)
+
+
+# (chirality, Stokes, w2) of ``report --grid 32``: None where the law applies
+# and passes, else the reason its "not applicable" detail gives
+LEDGER_VERDICTS = {
+    ("weyl-lattice", "2"): (None, None, "complex model"),
+    ("nodal-loop-real", "2"): (None, "real model", "two-band real model"),
+    ("four-band-linked", "1"): ("open box", "open box", "open box"),
+    ("four-band-linked-lattice", "1"): (None, "real model", None),
+}
+
+
+@pytest.fixture(scope="module")
+def builtin_reports(tmp_path_factory):
+    """Exit code and report.json of ``report --grid 32`` on each builtin."""
+    out = {}
+    for name, m in LEDGER_VERDICTS:
+        path = tmp_path_factory.mktemp(name)
+        code = run(["report", "--model", name, "--param", f"m={m}", "--grid", "32",
+                    "--out", str(path)])
+        out[name] = code, json.loads((path / "report.json").read_text())
+    return out
+
+
+class TestLedgerVerdicts:
+    """Every report carries the three ledger verdicts in order, each applying
+    or saying why not."""
+
+    @pytest.mark.parametrize("name, m", sorted(LEDGER_VERDICTS))
+    def test_builtin_verdicts(self, builtin_reports, name, m):
+        code, report = builtin_reports[name]
+        assert code == 0
+        verdicts = report["charges"]["verdicts"]
+        assert [v["name"] for v in verdicts] == [
+            "cancellation_chirality", "stokes_jump_check", "cancellation_w2"
+        ]
+        for v, reason in zip(verdicts, LEDGER_VERDICTS[name, m]):
+            assert v["passed"] and v["applicable"] == (reason is None), v
+            if reason is not None:
+                assert v["detail"].startswith(f"not applicable: {reason}"), v
+
+    def test_same_record_keys(self, builtin_reports, tmp_path):
+        assert run(["cohomology", "--fixture", "loop", "--resolution", "8",
+                    "--out", str(tmp_path)]) == 0
+        records = json.loads((tmp_path / "cohomology.json").read_text())["verdicts"]
+        for _, report in builtin_reports.values():
+            records += report["charges"]["verdicts"]
+        assert {tuple(sorted(v)) for v in records} == {
+            ("applicable", "detail", "name", "passed", "table")
+        }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stokes_merges_brackets_of_skipped_slices(self, tmp_path, seed):
+        # points that nearly share a kz put a midpoint slice next to W; the
+        # brackets on either side of that slice are checked as one
+        config = tmp_path / "model.json"
+        bt.save_model_config(random_two_band(seed), config)
+        assert run(["report", "--config", str(config), "--grid", "32",
+                    "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        (stokes,) = [v for v in report["charges"]["verdicts"]
+                     if v["name"] == "stokes_jump_check"]
+        assert stokes["passed"] and stokes["applicable"]
+        assert stokes["detail"].count("dC=") >= 2
 
 
 class TestLedgerFileRoundTrip:
@@ -513,6 +589,15 @@ class TestCohomologyCmd:
                     "--out", str(tmp_path)]) == 0
         spaces, verdicts = self.table_spaces(tmp_path)
         assert f"tube(n={resolution},r={radius})" in spaces
+        assert verdicts and all(v["passed"] for v in verdicts)
+
+    @pytest.mark.parametrize("resolution", ["4", "5"])
+    def test_point_fixture_falls_back_to_radius_one(self, tmp_path, resolution):
+        # a radius-2 tube fills a torus this small; radius 1 does not
+        assert run(["cohomology", "--fixture", "point", "--resolution", resolution,
+                    "--out", str(tmp_path)]) == 0
+        spaces, verdicts = self.table_spaces(tmp_path)
+        assert f"tube(n={resolution},r=1)" in spaces
         assert verdicts and all(v["passed"] for v in verdicts)
 
     @pytest.mark.parametrize("fixture", ["none", "loop", "point"])

@@ -30,49 +30,49 @@ def ledger_with_loops(w2s):
 
 
 class TestCancellationChirality:
-    def test_balanced_pair_passes(self):
-        assert bt.cancellation_chirality(ledger_with_points([1, -1])).passed
+    def test_balanced_pair_passes(self, weyl2):
+        assert bt.cancellation_chirality(weyl2, ledger_with_points([1, -1])).passed
 
-    def test_empty_passes(self):
-        assert bt.cancellation_chirality(ledger_with_points([])).passed
+    def test_empty_passes(self, weyl2):
+        assert bt.cancellation_chirality(weyl2, ledger_with_points([])).passed
 
-    def test_unbalanced_fails(self):
-        assert not bt.cancellation_chirality(ledger_with_points([1, 1])).passed
+    def test_unbalanced_fails(self, weyl2):
+        assert not bt.cancellation_chirality(weyl2, ledger_with_points([1, 1])).passed
 
-    def test_missing_entry_errors(self):
+    def test_missing_entry_errors(self, weyl2):
         ledger = ledger_with_points([1])
         ledger.entries.append(
             LedgerEntry(id="P9", kind="point", gap_index=1, position=[0, 0, 0])
         )
         with pytest.raises(LedgerError):
-            bt.cancellation_chirality(ledger)
+            bt.cancellation_chirality(weyl2, ledger)
 
-    def test_pure_function_of_ledger(self):
+    def test_pure_function_of_ledger(self, weyl2):
         ledger = ledger_with_points([2, -2])
-        a = bt.cancellation_chirality(ledger)
-        b = bt.cancellation_chirality(ledger)
+        a = bt.cancellation_chirality(weyl2, ledger)
+        b = bt.cancellation_chirality(weyl2, ledger)
         assert a.passed == b.passed and a.detail == b.detail
 
 
 class TestCancellationW2:
-    def test_pair_passes(self):
-        assert bt.cancellation_w2(ledger_with_loops([1, 1])).passed
+    def test_pair_passes(self, four_band_lattice):
+        assert bt.cancellation_w2(four_band_lattice, ledger_with_loops([1, 1])).passed
 
-    def test_single_fails(self):
-        assert not bt.cancellation_w2(ledger_with_loops([1])).passed
+    def test_single_fails(self, four_band_lattice):
+        assert not bt.cancellation_w2(four_band_lattice, ledger_with_loops([1])).passed
 
-    def test_missing_errors(self):
+    def test_missing_errors(self, four_band_lattice):
         ledger = ledger_with_loops([1])
         ledger.entries.append(LedgerEntry(id="L9", kind="loop", gap_index=2))
         with pytest.raises(LedgerError):
-            bt.cancellation_w2(ledger)
+            bt.cancellation_w2(four_band_lattice, ledger)
 
-    def test_sub_fermi_loops_ignored(self):
+    def test_sub_fermi_loops_ignored(self, four_band_lattice):
         ledger = ledger_with_loops([1, 1])
         ledger.entries.append(
             LedgerEntry(id="L9", kind="loop", gap_index=1, w2=None)
         )
-        assert bt.cancellation_w2(ledger).passed
+        assert bt.cancellation_w2(four_band_lattice, ledger).passed
 
 
 class TestStokesJumpCheck:
@@ -86,6 +86,13 @@ class TestStokesJumpCheck:
         ledger = ChargeLedger(model_name=model.name, occupied_count=1)
         verdict = bt.stokes_jump_check(model, "z", ledger, n_u=16, n_v=16)
         assert verdict.passed
+
+    def test_one_valid_slice_not_applicable(self, weyl2):
+        # one point gives one slice, which brackets the whole torus
+        ledger = ledger_with_points([1], axis_coords=[1.0])
+        verdict = bt.stokes_jump_check(weyl2, "z", ledger, n_u=16, n_v=16)
+        assert verdict.passed and not verdict.applicable
+        assert "fewer than two valid slices: 1 of 1" in verdict.detail
 
     def test_flipped_sign_fails(self, weyl2, weyl2_locus):
         ledger = bt.assemble_ledger(weyl2, weyl2_locus, mesh=(48, 48))
@@ -159,7 +166,7 @@ class TestAssembleLedger:
         names = [v.name for v in ledger.verdicts]
         assert "cancellation_chirality" in names
         assert "stokes_jump_check" in names
-        assert ledger.all_passed
+        assert all(v.passed for v in ledger.verdicts)
 
     def test_ledger_json_round_trip(self, weyl2, weyl2_locus):
         ledger = bt.assemble_ledger(weyl2, weyl2_locus, mesh=(48, 48))
