@@ -12,8 +12,8 @@ vanishes on the locus and its Jacobian J.  One SVD of J (``_newton``) gives
 the Newton step, the curve tangent and the rank that tells points from
 curves.  The same singular values, kept at every vertex the curve
 corrector accepts, give a traced curve's transverse gap slopes and its
-vertex gaps, so no probe stencil and no second gap pass remains.  No
-finite-difference stencil and no ``scipy.optimize`` is used.
+vertex gaps.  The curves of all clusters are traced in lockstep, with one
+batched crossing and SVD per gap and corrector round.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import LocusAmbiguityError, RefinementError
+from .exceptions import BandTopoError, LocusAmbiguityError, RefinementError
 from .model import TWO_PI, as_k_array, reduce_torus, torus_delta
 
 POINT_TOL = 1e-8
 POINT_MAX_ITER = 60
+CORRECTOR_MAX_ITER = 40
 VERTEX_TOL = 1e-6
 # curve-tracer step, in grid spacings
 STEP_FACTOR = 0.6
@@ -94,10 +95,10 @@ def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None):
 
     ``gap_index=None`` scans every gap between bands 1..occupied_count, so
     crossings inside the occupied set (companion nodal lines) are found
-    along with the Fermi-level locus.  With no explicit threshold, one is
-    derived per gap from the largest neighbor-to-neighbor gap variation on
-    the scan grid (a Lipschitz estimate), which guarantees cells containing
-    a zero are flagged.
+    along with the Fermi-level locus.  With no explicit threshold a cell is
+    flagged when its smallest corner gap is below 1.35 x its corner spread,
+    floored at 0.12 x the largest corner spread on the grid: a heuristic
+    that nothing proves complete (ROADMAP Direction M gives a bound that does).
     """
     grid = ScanGrid(model, resolution)
     pts = grid.points()
@@ -187,16 +188,12 @@ def _cluster_cells(cells, n, torus):
     return clusters
 
 
-def _bbox_diameter(cluster):
-    arr = np.array(cluster)
-    return float(np.max(arr.max(axis=0) - arr.min(axis=0)))
-
-
 # -- the crossing primitive ---------------------------------------------------
 
 
 def _crossing(model, k, g):
-    """The crossing of bands g and g + 1 near k, as a zero of a small field d.
+    """The crossing of bands g and g + 1 near k (one k-point, or a stack
+    solved by one eigensolve), as a zero of a small field d.
 
     Projected onto the two bands' eigenvectors at k, H is the 2x2 block
     E + d . (sigma_z, sigma_x[, sigma_y]) with d = (-gap / 2, 0[, 0]), and
@@ -205,26 +202,28 @@ def _crossing(model, k, g):
     for them and 3x3 otherwise.  Returns ``(gap, d, J)``.
     """
     energies, frames = model.eigenframes(k, occupied=g + 1)
-    pair = frames[:, g - 1 :]
-    block = np.conj(pair.T) @ model.hamiltonian_gradient(k) @ pair
-    rows = [(block[:, 0, 0] - block[:, 1, 1]).real / 2.0, block[:, 0, 1].real]
+    pair = frames[..., None, :, g - 1 :]  # one copy per k axis of dH/dk
+    block = np.conj(pair.swapaxes(-1, -2)) @ model.hamiltonian_gradient(k) @ pair
+    rows = [(block[..., 0, 0] - block[..., 1, 1]).real / 2.0, block[..., 0, 1].real]
     if not model.reality:
-        rows.append(-block[:, 0, 1].imag)
-    gap = float(energies[g] - energies[g - 1])
-    d = np.zeros(len(rows))
-    d[0] = -gap / 2.0
-    return gap, d, np.array(rows)
+        rows.append(-block[..., 0, 1].imag)
+    gap = energies[..., g] - energies[..., g - 1]
+    d = np.zeros(gap.shape + (len(rows),))
+    d[..., 0] = -gap / 2.0
+    return gap, d, np.array(rows).swapaxes(0, -2)
 
 
 def _newton(jac, d, rank):
-    """One SVD of J: the minimum-norm Newton step of J dk = -d on J's ``rank``
-    largest singular values (those above 1e-12 of the largest), the unit
-    null direction of J (the curve tangent) and the three singular values,
-    largest first (zero-padded for a 2x3 J)."""
+    """One SVD of each J: the minimum-norm Newton step of J dk = -d on J's
+    ``rank`` largest singular values (those above 1e-12 of the largest),
+    the unit null direction of J (the curve tangent) and the three singular
+    values, largest first (zero-padded for a 2x3 J)."""
     u, s, vt = np.linalg.svd(jac)
-    live = np.flatnonzero(s[:rank] > 1e-12 * s[0])
-    step = -vt[live].T @ ((u[:, live].T @ d) / s[live])
-    return step, vt[-1], np.concatenate([s, np.zeros(3 - len(s))])
+    live = s[..., :rank] > 1e-12 * s[..., :1]
+    coef = (u[..., :rank].swapaxes(-1, -2) @ d[..., None])[..., 0] / np.where(live, s[..., :rank], 1.0)
+    step = -(vt[..., : live.shape[-1], :].swapaxes(-1, -2) @ np.where(live, coef, 0.0)[..., None])
+    pad = np.zeros(s.shape[:-1] + (3 - s.shape[-1],))
+    return step[..., 0], vt[..., -1, :], np.concatenate([s, pad], axis=-1)
 
 
 def _singular_values(model, k, g):
@@ -266,6 +265,7 @@ def refine_point(model, seed, gap_index=None):
         k = trial
         gap, d, jac = crossing
         iterations += 1
+    gap = float(gap)
     if gap >= POINT_TOL or not np.all(np.isfinite(k)):
         raise RefinementError(
             f"refinement did not reach gap < {POINT_TOL:g} (residual {gap:.3e})",
@@ -283,20 +283,19 @@ def _canonical_position(model, k):
 # -- curve tracing ------------------------------------------------------------
 
 
-def _correct_to_curve(model, k, gap_index, reach, max_iter=40):
+def _correct_to_curve(model, k, reach):
     """Pull a point onto the zero curve by rank-2 Newton, which steps normal
-    to the curve, each step at most ``reach`` long.  Returns the point with,
-    from the crossing Jacobian J there, the curve tangent, the gap and J's
-    singular values; a point that leaves a box domain is returned as is,
-    with tangent None."""
-    for _ in range(max_iter):
+    to the curve, each step at most ``reach`` long.  A generator: it yields
+    each k and is sent its gap, Newton step, tangent and J's singular values.
+    Returns the point with its tangent, gap and singular values; a point that
+    leaves a box domain is returned as is, with tangent None."""
+    for _ in range(CORRECTOR_MAX_ITER):
         if not model.domain.contains(k):
             return k, None, None, None
-        gap, d, jac = _crossing(model, k, gap_index)
-        step, tangent, s = _newton(jac, d, 2)
+        gap, step, tangent, s = yield k
         if gap < VERTEX_TOL:
             return k, tangent, gap, s
-        norm = np.linalg.norm(step)
+        norm = math.sqrt(step @ step)
         if norm < 1e-14:
             break
         k = k + step * min(1.0, reach / norm)
@@ -305,10 +304,10 @@ def _correct_to_curve(model, k, gap_index, reach, max_iter=40):
     )
 
 
-def _march_curve(model, start, gap_index, step):
+def _march_curve(model, start, step):
     """March along the zero curve from a corrected ``start`` (the output of
     ``_correct_to_curve``), steering by the last chord; an open arc is
-    marched both ways and joined.
+    marched both ways and joined.  Yields the corrector's k-points.
 
     Returns (vertices, gaps, singular values, closed, winding): the
     corrector's gap and J's singular values at every vertex, in vertex
@@ -324,30 +323,25 @@ def _march_curve(model, start, gap_index, step):
             pred = last + step * d
             if not model.domain.contains(pred):
                 return rows, False, None
-            cur, tangent, gap, s = _correct_to_curve(model, pred, gap_index, 0.5 * step)
+            cur, tangent, gap, s = yield from _correct_to_curve(model, pred, 0.5 * step)
             if tangent is None:
                 return rows, False, None
             d_new = cur - last
-            n_new = np.linalg.norm(d_new)
+            n_new = math.sqrt(d_new @ d_new)
             if n_new < step * 0.05:
                 raise RefinementError("curve tracing stalled (no progress)")
             d = d_new / n_new
             rows.append((cur, gap, s))
             disp = cur - rows[0][0]
-            if torus:
-                winding = np.round(disp / TWO_PI)
-                near = np.linalg.norm(disp - TWO_PI * winding) < 0.75 * step
-            else:
-                winding = np.zeros(3)
-                near = np.linalg.norm(disp) < 0.75 * step
-            if len(rows) > 4 and near:
+            winding = np.rint(disp / TWO_PI) if torus else np.zeros(3)
+            if len(rows) > 4 and np.linalg.norm(disp - TWO_PI * winding) < 0.75 * step:
                 return rows[:-1], True, winding.astype(int)
         raise RefinementError("curve tracing exceeded maximum length")
 
-    rows, closed, winding = march(tangent)
+    rows, closed, winding = yield from march(tangent)
     if not closed:
         # open arc: march the other way from the start and join
-        back, closed, _ = march(-tangent)
+        back, closed, _ = yield from march(-tangent)
         if closed:
             rows, winding = back, np.zeros(3, dtype=int)
         else:
@@ -501,11 +495,7 @@ def _canonicalize_loop(vertices, torus):
     (x, then y, then z tie-break).  Returns the vertices and whether their
     order was reversed."""
     verts = np.asarray(vertices)
-    if torus:
-        reduced = reduce_torus(verts)
-    else:
-        reduced = verts
-    keys = [tuple(np.round(v, 6)) for v in reduced]
+    keys = [tuple(np.round(v, 6)) for v in (reduce_torus(verts) if torus else verts)]
     start = min(range(len(keys)), key=lambda i: keys[i])
     verts = np.roll(verts, -start, axis=0)
     if torus:
@@ -550,10 +540,10 @@ def _point_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_boun
 
 def _curve_from_cluster(model, grid, cluster, centers, seed, gap_index, gap_bound):
     step = STEP_FACTOR * grid.spacing
-    start = _correct_to_curve(model, seed, gap_index, 0.4 * grid.spacing)
+    start = yield from _correct_to_curve(model, seed, 0.4 * grid.spacing)
     if start[1] is None:
         raise RefinementError("curve corrector left the box", position=start[0])
-    verts, gaps, svals, closed, winding = _march_curve(model, start, gap_index, step)
+    verts, gaps, svals, closed, winding = yield from _march_curve(model, start, step)
     # the gap rises as 2 |J dk| across the curve: 2 s1 in the flattest normal
     # direction, 2 s0 in the steepest
     slope_min, slope_max = 2.0 * float(svals[:, 1].min()), 2.0 * float(svals[:, 0].max())
@@ -598,13 +588,13 @@ def _classify_cluster(model, grid, cluster, gap_index, gap_bound):
     SEED_POINT_RATIO is tried as a point first, and kept only if the
     Jacobian at the refined zero clears the same ratio.  Any other cluster,
     and a point attempt that fails, goes through the curve tracer and then
-    the point refinement.
+    the point refinement.  A generator, driven by ``_resolve_clusters``.
     """
     centers, seed, _ = _cluster_seed(model, grid, cluster, gap_index)
     as_point = functools.partial(
         _point_from_cluster, model, grid, cluster, centers, seed, gap_index, gap_bound
     )
-    if _bbox_diameter(cluster) < 3:
+    if np.ptp(cluster, axis=0).max() < 3:  # bounding box under 3 cells
         try:
             return as_point()
         except RefinementError:
@@ -619,9 +609,9 @@ def _classify_cluster(model, grid, cluster, gap_index, gap_bound):
         # ambiguity errors mean zeros were found but are not a clean curve:
         # those always propagate; refinement errors mean no zero was reached
         # and the cluster may still be an isolated point or spurious
-        return _curve_from_cluster(
+        return (yield from _curve_from_cluster(
             model, grid, cluster, centers, seed, gap_index, gap_bound
-        )
+        ))
     except RefinementError as curve_exc:
         try:
             return as_point()
@@ -635,33 +625,46 @@ def _classify_cluster(model, grid, cluster, gap_index, gap_bound):
 
 
 def _cluster_gap_bound(scan, cluster, gap_index):
-    n = scan.grid.npoints
-    table = scan.cell_min_gap[gap_index]
-    vals = []
-    for c in cluster:
-        key = tuple(x % n for x in c) if scan.grid.torus else c
-        if key in table:
-            vals.append(table[key])
-    return max(vals) if vals else scan.gap_threshold[gap_index]
+    n = scan.grid.npoints  # box cell indices stay below npoints: only torus cells wrap
+    return max(scan.cell_min_gap[gap_index][tuple(x % n for x in c)] for c in cluster)
 
 
 def _resolve_clusters(model, scan):
     """Points, loops and arcs of every flagged-cell cluster of a scan, in gap
-    and cluster order; spurious clusters are dropped.
-
-    A cluster that is neither point-like nor traceable as a single covered
-    curve raises LocusAmbiguityError naming the cluster.
-    """
+    and cluster order; spurious clusters are dropped.  The clusters' curve
+    tracers advance in lockstep, each round solving the k-points they wait on
+    with one crossing and rank-2 SVD per gap.  A cluster that is neither
+    point-like nor a single covered curve raises LocusAmbiguityError; as in
+    a sequential run, the first one raises and those after it are dropped."""
     grid = scan.grid
-    items = []
-    for g in sorted(scan.flagged):
-        for cluster in _cluster_cells(scan.flagged[g], grid.resolution, grid.torus):
-            item = _classify_cluster(
-                model, grid, cluster, g, _cluster_gap_bound(scan, cluster, g)
-            )
-            if item is not None:
-                items.append(item)
-    return items
+    tracers = [(g, _classify_cluster(model, grid, c, g, _cluster_gap_bound(scan, c, g)))
+               for g in sorted(scan.flagged)
+               for c in _cluster_cells(scan.flagged[g], grid.resolution, grid.torus)]
+    outcomes = [None] * len(tracers)
+    live, replies = range(len(tracers)), itertools.repeat(None)
+    while live:
+        asked = []
+        for i, reply in zip(live, replies):
+            try:
+                asked.append((i, tracers[i][1].send(reply)))
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except BandTopoError as exc:
+                outcomes[i:] = [exc]
+                break
+        live, replies = [], []
+        for g, batch in itertools.groupby(asked, lambda ask: tracers[ask[0]][0]):
+            ids, ks = zip(*batch)  # the tracers come in gap order
+            live += ids
+            if len(ks) == 1:  # unbatched: H(k) at one k-point costs less so
+                gap, d, jac = _crossing(model, ks[0], g)
+                replies.append((float(gap), *_newton(jac, d, 2)))
+            else:
+                gap, d, jac = _crossing(model, np.array(ks), g)
+                replies += zip(gap.tolist(), *_newton(jac, d, 2))
+    if outcomes and isinstance(outcomes[-1], BandTopoError):
+        raise outcomes[-1]
+    return [item for item in outcomes if item is not None]
 
 
 def _of_kind(items, kind):

@@ -29,7 +29,7 @@ from .invariants import (
 )
 from .locus import split_components
 from .model import TWO_PI, _integer, torus_delta
-from .surfaces import loop_clearance, sphere_around, tube_around, validate
+from .surfaces import loop_clearance, sphere_around, tube_around
 
 
 @dataclass
@@ -261,8 +261,8 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
     Points get a Berry-flux chirality (cross-checked against the map degree
     for two-band models); Fermi-level loops get the meridian Berry phase,
     w1, and, for real multiband models, the w2 monopole charge on a tube.
-    The loop charges share one tube; the meridian samples its ring at
-    ``DEFAULT_LOOP_POINTS`` angles or more.
+    The loop charges share one tube, validated only where w2 reads it; the
+    meridian samples its ring at ``DEFAULT_LOOP_POINTS`` angles or more.
     """
     comps = split_components(locus)
     torus = model.domain.is_torus
@@ -280,9 +280,7 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
                 comp.item.position, radius, n_u, n_v, domain=model.domain,
                 surface_id=f"sphere({comp.id},r={radius:g})",
             )
-            validate(sphere, model)
-            # the flux reuses the vertex frames validate kept; the degree
-            # oracle below evaluates the field on its own
+            # the flux validates the sphere; the degree oracle reads the field
             flux = chern_flux(model, sphere)
             entry.chirality = flux.value
             entry.chirality_residual = flux.residual
@@ -305,7 +303,6 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
                 comp.item, radius, n_u, n_v, other_components=others,
                 surface_id=f"tube({comp.id},r={radius:g})",
             )
-            validate(tube, model)
             entry.surface_id = tube.surface_id
             meridian = tube.meridian(0, n=max(n_v, DEFAULT_LOOP_POINTS))
             frames = loop_frames(model, meridian)  # one gap check for both charges

@@ -419,20 +419,37 @@ class TestFrameReuse:
 
     @pytest.mark.parametrize("name, surfaces, loops", [
         ("weyl2", 2, 0),
-        ("nodal_loop2", 1, 1),
+        ("nodal_loop2", 0, 1),
         ("four_band", 1, 1),
-        ("four_band_lattice", 12, 12),
+        ("four_band_lattice", 8, 12),
     ])
-    def test_assemble_ledger_one_call_per_surface(self, request, eig_calls, name,
-                                                   surfaces, loops):
+    def test_assemble_ledger_one_call_per_surface(self, request, monkeypatch, eig_calls,
+                                                   name, surfaces, loops):
+        # one vertex eigensolve per surface a charge reads (a sphere's
+        # chirality, a Fermi tube's w2), none on the other tubes
         model = request.getfixturevalue(name)
         locus = request.getfixturevalue(f"{name}_locus")
+        validated = []
+        validate = bt.invariants.validate
+
+        def recorded(surface, m):
+            validated.append(surface.surface_id)
+            return validate(surface, m)
+
+        monkeypatch.setattr(bt.invariants, "validate", recorded)
         del eig_calls[:]
-        bt.assemble_ledger(model, locus)
+        ledger = bt.assemble_ledger(model, locus)
         mesh_points = {64 * 63 + 2, 64 * 64}  # sphere, tube
         assert [n[0] for n in eig_calls].count(bt.mvcheck.DEFAULT_LOOP_POINTS) == loops
         assert sum(n[0] in mesh_points for n in eig_calls) == surfaces
         assert len(eig_calls) == surfaces + loops
+        read = [e.surface_id for e in ledger.entries
+                if e.chirality is not None or e.w2 is not None]
+        assert sorted(validated) == sorted(read)
+        companions = {e.surface_id for e in ledger.entries
+                      if e.kind == "loop" and e.gap_index != model.occupied_count}
+        assert len(companions) == (4 if name == "four_band_lattice" else 0)
+        assert not companions & set(validated)
 
     def test_charges_make_no_eigensolve(self, weyl2, four_band, four_band_locus, eig_calls):
         sphere = validated_sphere(weyl2, [0, 0, math.pi / 2])

@@ -554,3 +554,68 @@ class TestSeedClassification:
             assert min(ratios) > 2 * SEED_POINT_RATIO
         else:
             assert set(ratios) == {0.0}
+
+
+class TestLockstep:
+    """Tracing every curve cluster in lockstep gives, bitwise, what tracing
+    each cluster alone gives."""
+
+    @staticmethod
+    def traced(monkeypatch, model, scan):
+        # _march_curve's (vertices, gaps, singular values, closed, winding)
+        # for every curve _resolve_clusters marches, in vertex-bytes order
+        from bandtopo import locus as locus_mod
+
+        marches = []
+        march = locus_mod._march_curve
+
+        def recorded(*args):
+            result = yield from march(*args)
+            marches.append(result)
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(locus_mod, "_march_curve", recorded)
+            items = locus_mod._resolve_clusters(model, scan)
+        return items, sorted(marches, key=lambda m: m[0].tobytes())
+
+    @pytest.mark.parametrize("name, grid, kinds", [
+        ("four-band-linked-lattice", 16, {(1, "loop"): 4, (2, "loop"): 8}),
+        ("four-band-linked", 32, {(1, "arc"): 1, (2, "loop"): 1}),
+    ], ids=["four-band-linked-lattice-16", "four-band-linked-32"])
+    def test_alone_equals_together(self, monkeypatch, name, grid, kinds):
+        import dataclasses
+
+        from bandtopo.locus import NodalLoop, _cluster_cells
+
+        model = bt.builtin(name, m=1)
+        scan = scan_grid(model, resolution=grid)
+        items, together = self.traced(monkeypatch, model, scan)
+        got = {}
+        for item in items:
+            key = (item.gap_index, "loop" if isinstance(item, NodalLoop) else "arc")
+            got[key] = got.get(key, 0) + 1
+        assert got == kinds
+        alone = []
+        n = scan.grid.npoints
+        for g, cells in scan.flagged.items():
+            for cluster in _cluster_cells(cells, grid, scan.grid.torus):
+                wrapped = [tuple(x % n for x in c) for c in cluster]
+                one = dataclasses.replace(scan, flagged={g: wrapped})
+                alone += self.traced(monkeypatch, model, one)[1]
+        alone.sort(key=lambda m: m[0].tobytes())
+        assert len(alone) == len(together) == len(items)
+        for (v0, g0, s0, c0, w0), (v1, g1, s1, c1, w1) in zip(alone, together):
+            for a, b in ((v0, v1), (g0, g1), (s0, s1)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert c0 == c1
+            assert (w0 is None and w1 is None) or np.array_equal(w0, w1)
+
+    def test_first_failing_cluster_raises(self):
+        # at grid 16 two Weyl points share one cluster; the lockstep tracer
+        # raises that cluster's error, as tracing the clusters in turn does
+        with pytest.raises(LocusAmbiguityError, match=(
+            r"^cluster of 126 cells near \[2\.945, 2\.945, -0\.196\] \(gap 1\) is "
+            "neither point-like nor curve-like"
+        )):
+            bt.extract_locus(random_two_band(6), resolution=16)
