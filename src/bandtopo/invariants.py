@@ -32,6 +32,8 @@ from .surfaces import SLICE, SPHERE, slice_torus, validate
 
 CHERN_RESIDUAL_TOL = 0.01
 DEGREE_RESIDUAL_TOL = 0.05
+# a surface whose gap falls to this is too close to W for its charges
+SURFACE_GAP_FLOOR = 10.0 * CHERN_RESIDUAL_TOL
 # a loop whose gap falls to this is too close to W for its frames
 LOOP_MIN_GAP = 0.01
 W2_FLAT_TOL = 1e-5
@@ -40,23 +42,26 @@ W2_FLAT_TOL = 1e-5
 # -- frames and overlaps -------------------------------------------------------
 
 
-def frames_at(model, points, occupied=None):
+def frames_at(model, points):
     """Occupied eigenframes at a batch of points, with a deterministic
     per-column gauge (largest-magnitude entry made real positive)."""
     pts = np.asarray(points, dtype=float)
     if model.domain.is_torus:
         pts = reduce_torus(pts)
-    _, frames = model.eigenframes(pts, occupied=occupied)
+    _, frames = model.eigenframes(pts)
     return fix_gauge(frames)
 
 
-def _surface_frames(model, surface, occupied):
-    """The vertex frames ``validate`` kept on the surface when they belong
-    to this model and occupied count, else a fresh ``frames_at``."""
-    kept = surface.vertex_frames
-    if kept is not None and kept[0] is model and kept[1] == occupied:
-        return kept[2]
-    return frames_at(model, surface.points, occupied=occupied)
+def _gapped_frames(model, surface):
+    """The vertex frames of one ``validate`` of the surface, once its
+    minimum gap clears SURFACE_GAP_FLOOR (else SurfaceError)."""
+    min_gap, frames = validate(surface, model)
+    if min_gap <= SURFACE_GAP_FLOOR:
+        raise SurfaceError(
+            f"surface {surface.surface_id} has min gap "
+            f"{min_gap:.3e} <= required floor {SURFACE_GAP_FLOOR:.3e}"
+        )
+    return frames
 
 
 def _require_regular(s):
@@ -142,16 +147,6 @@ def holonomy(frames, paths):
     for j in range(1, links.shape[-3]):
         prod = prod @ links[..., j, :, :]
     return prod
-
-
-def _require_validated(surface, model, floor):
-    if surface.min_gap_on_surface is None:
-        validate(surface, model)
-    if surface.min_gap_on_surface <= floor:
-        raise SurfaceError(
-            f"surface {surface.surface_id} has min gap "
-            f"{surface.min_gap_on_surface:.3e} <= required floor {floor:.3e}"
-        )
 
 
 # -- result types --------------------------------------------------------------
@@ -256,29 +251,31 @@ class SliceChern:
 # -- Chern flux ------------------------------------------------------------------
 
 
-def chern_flux(model, surface, occupied_count=None, residual_tol=CHERN_RESIDUAL_TOL,
-               frames=None):
-    """Integer Berry-flux charge of a validated closed surface.
+def chern_flux(model, surface):
+    """Integer Berry-flux charge of a closed surface.
 
-    Each plaquette's flux is the wrapped sum of the edge phases
+    One ``validate`` gives the surface's minimum gap, which must clear
+    SURFACE_GAP_FLOOR (else SurfaceError), and its vertex frames.  Each
+    plaquette's flux is the wrapped sum of the edge phases
     arg det(F_a^dagger F_b) around its (outward-oriented) quad; their total
-    over the closed mesh is 2 pi times an integer.  ``frames`` default to
-    the vertex frames ``validate`` kept.  Raises MeshResolutionError when the
-    pre-rounding deviation reaches ``residual_tol``.
+    over the closed mesh is 2 pi times an integer.  Raises
+    MeshResolutionError when the pre-rounding deviation reaches
+    CHERN_RESIDUAL_TOL or one plaquette nears the branch cut.
     """
-    _require_validated(surface, model, 10.0 * residual_tol)
-    occ = model.occupied_count if occupied_count is None else int(occupied_count)
-    if frames is None:
-        frames = _surface_frames(model, surface, occ)
+    return _flux_charge(surface, _gapped_frames(model, surface))
+
+
+def _flux_charge(surface, frames):
+    """The Chirality of ``chern_flux`` from the surface's vertex frames."""
     total, peak = _total_plaquette_flux(frames, surface)
     # sign fixed so the charge equals the degree of the two-band field on
     # the same outward-oriented surface
     raw = -total / TWO_PI
     value = int(np.rint(raw))
     residual = abs(raw - value)
-    if residual >= residual_tol:
+    if residual >= CHERN_RESIDUAL_TOL:
         raise MeshResolutionError(
-            f"Chern flux residual {residual:.4f} >= {residual_tol}: mesh too "
+            f"Chern flux residual {residual:.4f} >= {CHERN_RESIDUAL_TOL}: mesh too "
             "coarse / surface too close to W",
             residual=residual,
         )
@@ -449,61 +446,32 @@ def w1_along(model, loop, frames=None):
 # -- second Stiefel-Whitney charge ---------------------------------------------------
 
 
-def w2_on(model, surface, occupied_count=None):
-    """Z2 monopole charge of a validated closed surface of a real model with
-    exactly two occupied bands.
+def w2_on(model, surface):
+    """Z2 monopole charge of a closed surface of a real model with exactly
+    two occupied bands.
 
-    Wilson loops along the u-cycles are tracked as a function of v with a
-    parallel-transported basepoint frame; the charge is the parity of
-    transversal eigenphase crossings of pi.  The v-cycle may be
-    orientation-reversing for the occupied frame (w1 = 1 on meridians of
-    nodal-line tubes); that holonomy is folded into the crossing count and
-    reported in ``w1_cycles``.  An orientation-reversing u-cycle is a
-    genuine obstruction and raises ObstructionError.  Any other occupied
-    rank raises UnsupportedModelError.
+    One ``validate`` gives the surface's vertex frames; its minimum gap must
+    clear SURFACE_GAP_FLOOR (else SurfaceError).  Wilson loops along the
+    u-cycles are tracked as a function of v with a parallel-transported
+    basepoint frame; the charge is the parity of transversal eigenphase
+    crossings of pi.  The v-cycle may be orientation-reversing for the
+    occupied frame (w1 = 1 on meridians of nodal-line tubes); that holonomy
+    is folded into the crossing count and reported in ``w1_cycles``.  An
+    orientation-reversing u-cycle is a genuine obstruction and raises
+    ObstructionError.  Any other occupied rank raises UnsupportedModelError.
     """
     if not model.reality:
         raise UnsupportedModelError("w2 requires a reality-flagged model")
-    occ = model.occupied_count if occupied_count is None else int(occupied_count)
+    occ = model.occupied_count
     if model.band_count == 2 or occ != 2:
         raise UnsupportedModelError(
             "w2 is computed for exactly 2 occupied bands of a >= 4 band model; "
             f"this one has {occ} occupied of {model.band_count}"
         )
-    _require_validated(surface, model, 10.0 * CHERN_RESIDUAL_TOL)
-    frames = _surface_frames(model, surface, occ)
+    frames = _gapped_frames(model, surface)
     if np.iscomplexobj(frames):
         raise UnsupportedModelError("w2 requires real eigenframes")
     return _w2_rank2(surface, frames)
-
-
-def _u_cycle_wilson(surface, frames, rows):
-    """Wilson matrices of the u-cycles at the given rows iv, each in the
-    frame of slot (0, iv); a sphere pole row gives the identity."""
-    return holonomy(frames, surface.index_map[:, rows].T)
-
-
-def _transport_basepoints(surface, frames, rows):
-    """Parallel-transport an occupied frame along the v-line at u = 0.
-
-    Returns per-row orthogonal matrices ``c`` with transported frame
-    G_row = F_row @ c[row], plus the O(occ) mismatch after closing the
-    cycle (None for spheres, whose v-line is not a cycle).
-    """
-    ids = surface.index_map[0, rows]
-    if surface.kind != SPHERE:  # close the cycle back to the first row
-        ids = np.append(ids, ids[0])
-    # polar(F_j^T F_{j-1} c_{j-1}) = polar(F_j^T F_{j-1}) c_{j-1} for orthogonal c
-    cs = [np.eye(frames.shape[-1])]
-    for link in _links(frames, ids[1:], ids[:-1]):
-        cs.append(link @ cs[-1])
-    # transported frame at v=2pi expressed at v=0
-    closure = cs.pop() if surface.kind != SPHERE else None
-    return cs, closure
-
-
-def _rotation_angle(w):
-    return math.atan2(w[1, 0] - w[0, 1], w[0, 0] + w[1, 1])
 
 
 def _wrap(angle):
@@ -511,38 +479,41 @@ def _wrap(angle):
 
 
 def _w2_rank2(surface, frames):
+    """w2 from the spectral flow of the u-cycle Wilson loops along v.
+
+    Row iv's Wilson loop is an SO(2) rotation by theta_iv in the frame at
+    slot (0, iv).  Transporting that frame along the line u = 0 conjugates
+    the rotation by an O(2) matrix, which keeps theta_iv if its determinant
+    is +1 and negates it if -1.  So the transported angle is theta_iv times
+    the running product of the determinant signs of the v-links; on a tube
+    the last sign, after the v-cycle closes, is w1 of that cycle.  A tube's
+    v-path starts at the row farthest from a crossing of pi; a sphere's runs
+    from the north to the south pole, where the Wilson loops are 1.
+    """
     n_v = surface.n_v
     is_sphere = surface.kind == SPHERE
-    raw = _u_cycle_wilson(surface, frames, np.arange(n_v + is_sphere))
-    if not is_sphere:
-        raw = np.concatenate([raw, raw[:1]])
-
+    raw = holonomy(frames, surface.index_map.T)  # one u-cycle per row iv
     if np.any(np.linalg.det(raw) < 0):
         raise ObstructionError(
             "u-cycle holonomy is orientation-reversing (w1 != 0 on the "
             "u-cycle); w2 alone is not well-defined on this surface"
         )
+    angles = np.arctan2(raw[:, 1, 0] - raw[:, 0, 1], raw[:, 0, 0] + raw[:, 1, 1])
 
-    # provisional distance-to-pi is gauge-sign invariant; pick the start row
-    # farthest from the crossing line (spheres stay anchored at the pole)
-    prov = [abs(_wrap(abs(_rotation_angle(w)) - math.pi)) for w in raw[:-1]]
-    start = 0 if is_sphere else int(np.argmax(prov))
-    ordered = [(start + i) % n_v for i in range(n_v)] + [start]
-
-    cs, closure = _transport_basepoints(surface, frames, ordered)
-    thetas = []
-    for pos, iv in enumerate(ordered):
-        w = raw[iv] if pos < n_v or is_sphere else raw[start]
-        wt = cs[pos].T @ w @ cs[pos]
-        thetas.append(_rotation_angle(wt))
+    if is_sphere:
+        rows = np.arange(n_v + 1)
+    else:  # the distance to pi is gauge-sign invariant
+        start = int(np.argmax(np.abs(_wrap(np.abs(angles[:n_v]) - math.pi))))
+        rows = (start + np.arange(n_v + 1)) % n_v
+    ids = surface.index_map[0, rows]
+    link_signs = np.sign(np.linalg.det(_links(frames, ids[:-1], ids[1:])))
+    signs = np.concatenate([[1.0], np.cumprod(link_signs)])
+    thetas = (signs * angles[rows]).tolist()
     track = [thetas[0]]
     for th in thetas[1:]:
         track.append(track[-1] + _wrap(th - track[-1]))
 
-    w1_v = 0
-    if closure is not None and float(np.linalg.det(closure)) < 0:
-        w1_v = 1
-
+    w1_v = 0 if is_sphere else int(signs[-1] < 0)
     flat = all(abs(_wrap(th - math.pi)) < W2_FLAT_TOL for th in thetas)
     if flat and not is_sphere:
         value = w1_v
@@ -553,8 +524,7 @@ def _w2_rank2(surface, frames):
         count = abs(hi - lo)
         value = count % 2
 
-    vs = [TWO_PI * iv / n_v if not is_sphere else math.pi * iv / n_v
-          for iv in range(len(track))]
+    vs = (math.pi if is_sphere else TWO_PI) * np.arange(n_v + 1) / n_v
     return W2Result(
         value=value,
         crossing_count=count,
@@ -572,17 +542,17 @@ def _w2_rank2(surface, frames):
 def chern_scan(model, axis, values, n_u=64, n_v=64):
     """Slice Chern numbers at a list of fixed-coordinate values.
 
-    Slices that intersect the nodal set (min gap at or below the 10x
-    residual-tolerance floor) are skipped with a marker entry.
+    Each slice takes one ``validate``.  Slices that intersect the nodal set
+    (min gap at or below SURFACE_GAP_FLOOR) are skipped with a marker
+    entry; the others read their Chern number off its vertex frames.
     """
     if not model.domain.is_torus:
         raise UnsupportedModelError("slice scans require a lattice (torus) model")
     out = []
-    floor = 10.0 * CHERN_RESIDUAL_TOL
     for value in values:
         surf = slice_torus(axis, value, n_u, n_v)
-        mg = validate(surf, model)
-        if mg <= floor:
+        mg, frames = validate(surf, model)
+        if mg <= SURFACE_GAP_FLOOR:
             out.append(
                 SliceChern(
                     float(value), None, skipped=True,
@@ -590,6 +560,5 @@ def chern_scan(model, axis, values, n_u=64, n_v=64):
                 )
             )
             continue
-        ch = chern_flux(model, surf)
-        out.append(SliceChern(float(value), ch))
+        out.append(SliceChern(float(value), _flux_charge(surf, frames)))
     return out

@@ -566,7 +566,17 @@ def builtin(name, **params):
 
 
 def model_from_config(data):
-    """Build a model from a parsed config dictionary (see README schema)."""
+    """Build a model from a parsed config dictionary, the form ``to_config``
+    writes.
+
+    Keys: ``schema_version`` (1, the default), ``name`` (optional),
+    ``band_count``, ``occupied_count``, ``reality`` (true or false),
+    ``domain`` (``{"type": "torus"}`` or ``{"type": "box", "extent": L}``)
+    and ``terms``, a list of ``{"pauli": word, "coeff": [{"kind",
+    "harmonic", "amplitude"}, ...]}``: a Pauli word such as ``"ZY"`` with
+    the ``CoefficientSpec`` entries that multiply it.  A missing or
+    malformed key is a ConfigError.
+    """
     try:
         version = data.get("schema_version", 1)
         if version != 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cohomology import Verdict
-from .exceptions import LedgerError, ObstructionError, UnsupportedModelError
+from .exceptions import LedgerError, ObstructionError, SurfaceError, UnsupportedModelError
 from .invariants import (
     berry_phase,
     chern_flux,
@@ -254,15 +254,19 @@ def _component_min_separation(comp, others, torus):
     return best
 
 
-def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
-                    tube_radius=None):
+def assemble_ledger(model, locus, mesh=DEFAULT_MESH, tube_radius=None):
     """Compute every applicable charge for every locus component.
 
-    Points get a Berry-flux chirality (cross-checked against the map degree
-    for two-band models); Fermi-level loops get the meridian Berry phase,
-    w1, and, for real multiband models, the w2 monopole charge on a tube.
-    The loop charges share one tube, validated only where w2 reads it; the
-    meridian samples its ring at ``DEFAULT_LOOP_POINTS`` angles or more.
+    Points get a Berry-flux chirality on a sphere of radius
+    min(DEFAULT_SPHERE_RADIUS, separation / 3) (cross-checked against the
+    map degree for two-band models); Fermi-level loops get the meridian
+    Berry phase, w1, and, for real multiband models, the w2 monopole charge
+    on a tube.  The loop charges share one tube, validated only where w2
+    reads it; the meridian samples its ring at ``DEFAULT_LOOP_POINTS`` angles
+    or more.  The tube radius defaults to min(DEFAULT_TUBE_RADIUS,
+    clearance / 3.5); a ``tube_radius`` at or above clearance / 3 raises
+    SurfaceError, where the clearance is the smaller of the loop's own and
+    its distance on the torus (or in the box) to every other component.
     """
     comps = split_components(locus)
     torus = model.domain.is_torus
@@ -273,9 +277,7 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
         if comp.kind == "point":
             entry.position = [float(x) for x in comp.item.position]
             sep = _component_min_separation(comp, comps, torus)
-            radius = sphere_radius
-            if radius is None:
-                radius = min(DEFAULT_SPHERE_RADIUS, sep / 3.0)
+            radius = min(DEFAULT_SPHERE_RADIUS, sep / 3.0)
             sphere = sphere_around(
                 comp.item.position, radius, n_u, n_v, domain=model.domain,
                 surface_id=f"sphere({comp.id},r={radius:g})",
@@ -298,11 +300,15 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, sphere_radius=None,
             radius = tube_radius
             if radius is None:
                 radius = min(DEFAULT_TUBE_RADIUS, clearance / 3.5)
-            others = [_sample_points(c) for c in comps if c.id != comp.id]
+            # tube_around checks the radius and the loop's own clearance
             tube = tube_around(
-                comp.item, radius, n_u, n_v, other_components=others,
-                surface_id=f"tube({comp.id},r={radius:g})",
+                comp.item, radius, n_u, n_v, surface_id=f"tube({comp.id},r={radius:g})",
             )
+            if radius >= clearance / 3.0:
+                raise SurfaceError(
+                    f"tube radius {radius:g} too large: {comp.id} is {sep:g} from the "
+                    "nearest other component (needs radius < clearance / 3)"
+                )
             entry.surface_id = tube.surface_id
             meridian = tube.meridian(0, n=max(n_v, DEFAULT_LOOP_POINTS))
             frames = loop_frames(model, meridian)  # one gap check for both charges

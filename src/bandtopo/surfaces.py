@@ -59,21 +59,17 @@ class ClosedSurface:
     ``grid`` has shape (n_u+1, n_v+1, 3); ``index_map`` sends each grid slot
     to its unique geometric vertex in ``points`` (shape (N, 3)).  Plaquettes
     are traversed counterclockwise as seen from the outward (or +axis)
-    normal when ``orientation`` is +1.
+    normal when ``orientation`` is +1.  A surface holds geometry only: its
+    gap and occupied frames under a model come from ``validate``.
     """
 
-    def __init__(self, kind, grid, index_map, points, surface_id, meta=None):
+    def __init__(self, kind, grid, index_map, points, surface_id):
         self.kind = kind
         self.grid = grid
         self.index_map = index_map
         self.points = points
         self.surface_id = surface_id
-        self.meta = meta or {}
         self.orientation = 1
-        self.min_gap_on_surface = None
-        # (model, occupied count, gauge-fixed occupied frames per point),
-        # kept by ``validate`` for the charges computed on this surface
-        self.vertex_frames = None
         self.tube_frame = None  # (center, normals, binormals, radius) of a tube
         self.n_u = grid.shape[0] - 1
         self.n_v = grid.shape[1] - 1
@@ -160,24 +156,6 @@ class ClosedSurface:
         vecs = self.points - as_k_array(about)
         return self.spherical_area(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
 
-    def to_json(self):
-        return {
-            "schema_version": 1,
-            "kind": self.kind,
-            "surface_id": self.surface_id,
-            "n_u": self.n_u,
-            "n_v": self.n_v,
-            "orientation": int(self.orientation),
-            "vertices": [[float(x) for x in p] for p in self.points],
-            "index_map": [[int(i) for i in row] for row in self.index_map],
-            "min_gap_on_surface": (
-                None
-                if self.min_gap_on_surface is None
-                else float(self.min_gap_on_surface)
-            ),
-            "meta": self.meta,
-        }
-
 
 def _solid_angles(a, b, c):
     """Signed spherical areas of unit-vector triangles, stacked along the
@@ -250,15 +228,11 @@ def sphere_around(center, radius, n_u=64, n_v=64, domain=None, surface_id=None):
     sid = surface_id or (
         f"sphere(c=({center[0]:.4f},{center[1]:.4f},{center[2]:.4f}),r={radius:g})"
     )
-    return ClosedSurface(
-        SPHERE, grid, index_map, points, sid,
-        meta={"center": [float(x) for x in center], "radius": float(radius)},
-    )
+    return ClosedSurface(SPHERE, grid, index_map, points, sid)
 
 
-def loop_clearance(loop, others=()):
-    """Geometric clearance of a loop: min(self-approach, curvature radius,
-    distance to other components)."""
+def loop_clearance(loop):
+    """Geometric clearance of a loop: min(self-approach, curvature radius)."""
     verts = np.asarray(loop.vertices, dtype=float)
     n = len(verts)
     clearance = math.inf
@@ -275,12 +249,7 @@ def loop_clearance(loop, others=()):
         clearance = float(np.min(chord[close]))
     # curvature radius from vertex triples
     radii = _circumradii(np.roll(verts, 1, axis=0), verts, np.roll(verts, -1, axis=0))
-    clearance = min(clearance, 2.0 * float(np.min(radii)))
-    for other in others:
-        overts = np.asarray(getattr(other, "vertices", other), dtype=float)
-        d = np.linalg.norm(verts[:, None, :] - overts[None, :, :], axis=-1).min()
-        clearance = min(clearance, d)
-    return clearance
+    return min(clearance, 2.0 * float(np.min(radii)))
 
 
 def _circumradii(a, b, c):
@@ -338,18 +307,18 @@ def _parallel_frames(verts):
     return out_n, np.cross(tangents, out_n)
 
 
-def tube_around(loop, radius, n_u=64, n_v=64, other_components=(), surface_id=None):
+def tube_around(loop, radius, n_u=64, n_v=64, surface_id=None):
     """Torus mesh around a nodal loop: u along the loop, v around the
     meridian, outward orientation.
 
     The framing is parallel-transported (rotation-minimizing) so meridians
-    carry no spurious twist.  Raises SurfaceError when the radius exceeds a
-    third of the loop's clearance (self-approach, curvature, or distance to
-    other components).
+    carry no spurious twist.  Raises SurfaceError when the radius reaches a
+    third of the loop's own clearance (self-approach or curvature); the
+    clearance to other components is the caller's to check.
     """
     _check_mesh(n_u, n_v)
     verts = np.asarray(loop.vertices, dtype=float)
-    clearance = loop_clearance(loop, other_components)
+    clearance = loop_clearance(loop)
     if not math.isfinite(radius):
         raise SurfaceError(f"tube radius must be finite, got {radius}")
     if radius <= 0:
@@ -366,10 +335,7 @@ def tube_around(loop, radius, n_u=64, n_v=64, other_components=(), surface_id=No
 
     points, index_map = _unique_grid(grid)
     sid = surface_id or f"tube(r={radius:g},n={n_u}x{n_v})"
-    tube = ClosedSurface(
-        TUBE, grid, index_map, points, sid,
-        meta={"radius": float(radius), "loop_length": int(len(verts))},
-    )
+    tube = ClosedSurface(TUBE, grid, index_map, points, sid)
     tube.tube_frame = (center, normals, binormals, radius)
     return tube
 
@@ -409,21 +375,18 @@ def slice_torus(axis, value, n_u=64, n_v=64, surface_id=None):
 
     points, index_map = _unique_grid(grid)
     sid = surface_id or f"slice({axis}={value:.6g},n={n_u}x{n_v})"
-    return ClosedSurface(
-        SLICE, grid, index_map, points, sid,
-        meta={"axis": axis, "value": float(value)},
-    )
+    return ClosedSurface(SLICE, grid, index_map, points, sid)
 
 
 def validate(surface, model):
-    """Sample the direct gap on vertices and quad centers; store the minimum.
+    """Sample the direct gap of a model on a surface's vertices and quad
+    centers.
 
-    The vertices take one eigensolve: its energies give their gaps, and the
-    surface keeps its occupied frames, gauge-fixed as ``frames_at`` fixes
-    them, in ``vertex_frames`` with the model and occupied count they belong
-    to.  The charges computed on the surface reuse them.  Returns the
-    minimum gap.  Downstream invariants refuse surfaces whose stored minimum
-    is too small for their tolerance.
+    Returns ``(min_gap, frames)``: the smallest sampled gap, and the
+    occupied frames at the vertices from the same eigensolve, gauge-fixed
+    as ``frames_at`` fixes them.  The surface is left unchanged.  Raises
+    SurfaceError on a non-finite gap; the charges raise on a gap at or
+    below their floor.
     """
     pts = surface.points
     centers = surface.quad_centers().reshape(-1, 3)
@@ -439,6 +402,4 @@ def validate(surface, model):
                           np.min(model.direct_gap(centers))))
     if not math.isfinite(mg):  # NaN would pass every gap floor
         raise SurfaceError(f"surface {surface.surface_id} has a non-finite gap {mg}")
-    surface.min_gap_on_surface = mg
-    surface.vertex_frames = (model, model.occupied_count, fix_gauge(frames))
-    return mg
+    return mg, fix_gauge(frames)

@@ -159,7 +159,7 @@ def reference_holonomy(frames, path):
     return prod
 
 
-def reference_loop_clearance(loop, others=()):
+def reference_loop_clearance(loop):
     """Pair-by-pair loop reference for ``surfaces.loop_clearance``."""
     verts = np.asarray(loop.vertices, dtype=float)
     n = len(verts)
@@ -180,11 +180,52 @@ def reference_loop_clearance(loop, others=()):
         if cross >= 1e-14:
             r = np.linalg.norm(ab) * np.linalg.norm(ac) * np.linalg.norm(bc) / (2.0 * cross)
             clearance = min(clearance, 2.0 * r)
-    for other in others:
-        overts = np.asarray(getattr(other, "vertices", other), dtype=float)
-        d = np.linalg.norm(verts[:, None, :] - overts[None, :, :], axis=-1).min()
-        clearance = min(clearance, d)
     return clearance
+
+
+def reference_w2_track(surface, frames):
+    """Matrix-transport reference for the w2 Wilson track.
+
+    The basepoint frame is carried along the line u = 0 as
+    c_j = polar(F_j^T F_{j-1}) c_{j-1}, one SVD per link, and each row's
+    u-cycle Wilson matrix W is read as the rotation angle of c^T W c.  A
+    tube's v-path starts at the row whose angle is farthest from pi and
+    closes on itself; a sphere's runs from pole to pole.  Returns the
+    unwrapped track, the crossing count and w1 of the v-cycle.
+    """
+    from bandtopo.invariants import holonomy
+
+    def angle(w):
+        return math.atan2(w[1, 0] - w[0, 1], w[0, 0] + w[1, 1])
+
+    def wrap(a):
+        return (a + math.pi) % (2 * math.pi) - math.pi
+
+    n_v, m = surface.n_v, surface.index_map
+    sphere = surface.kind == "sphere"
+    wilson = holonomy(frames, m.T)
+    if sphere:
+        rows = list(range(n_v + 1))
+    else:
+        start = max(range(n_v), key=lambda iv: abs(wrap(abs(angle(wilson[iv])) - math.pi)))
+        rows = [(start + i) % n_v for i in range(n_v + 1)]
+    c = np.eye(2)
+    thetas = []
+    for j, iv in enumerate(rows):
+        if j:
+            u, _, vh = np.linalg.svd(frames[m[0, iv]].T @ frames[m[0, rows[j - 1]]])
+            c = u @ vh @ c
+        thetas.append(angle(c.T @ wilson[iv] @ c))
+    track = [thetas[0]]
+    for th in thetas[1:]:
+        track.append(track[-1] + wrap(th - track[-1]))
+    w1 = 0 if sphere else int(np.linalg.det(c) < 0)
+    if not sphere and all(abs(wrap(th - math.pi)) < 1e-5 for th in thetas):
+        count = w1
+    else:
+        count = abs(math.floor((track[-1] - math.pi) / (2 * math.pi))
+                    - math.floor((track[0] - math.pi) / (2 * math.pi)))
+    return np.array(track), count, w1
 
 
 def reference_parallel_frames(verts):

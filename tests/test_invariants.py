@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +14,9 @@ from bandtopo.exceptions import (
 from bandtopo.invariants import (
     _polar_unitary,
     _rank_two,
+    _flux_charge,
     _total_plaquette_flux,
+    _w2_rank2,
     frames_at,
     holonomy,
     loop_frames,
@@ -24,13 +28,12 @@ from conftest import (
     reference_holonomy,
     reference_quads,
     reference_spherical_area,
+    reference_w2_track,
 )
 
 
-def validated_sphere(model, center, radius=0.3, n=32):
-    s = bt.sphere_around(center, radius, n, n, domain=model.domain)
-    bt.validate(s, model)
-    return s
+def sphere_in(model, center, radius=0.3, n=32):
+    return bt.sphere_around(center, radius, n, n, domain=model.domain)
 
 
 def planar_winding(field, loop, axes=(0, 2)):
@@ -44,19 +47,18 @@ def planar_winding(field, loop, axes=(0, 2)):
 class TestChernFlux:
     def test_weyl_point_charges(self, weyl2):
         # chirality = sign det dh/dk, diag(1, 1, -sin kz) at the zeros
-        c_minus = bt.chern_flux(weyl2, validated_sphere(weyl2, [0, 0, -math.pi / 2]))
-        c_plus = bt.chern_flux(weyl2, validated_sphere(weyl2, [0, 0, math.pi / 2]))
+        c_minus = bt.chern_flux(weyl2, sphere_in(weyl2, [0, 0, -math.pi / 2]))
+        c_plus = bt.chern_flux(weyl2, sphere_in(weyl2, [0, 0, math.pi / 2]))
         assert c_minus.value == 1
         assert c_plus.value == -1
         assert c_minus.residual < 0.01 and c_plus.residual < 0.01
 
     def test_gapped_sphere_zero(self, weyl2):
-        s = validated_sphere(weyl2, [math.pi, math.pi, math.pi], 0.4)
+        s = sphere_in(weyl2, [math.pi, math.pi, math.pi], 0.4)
         assert bt.chern_flux(weyl2, s).value == 0
 
     def test_slice_equals_degree_oracle(self, weyl2):
         s = bt.slice_torus("z", 0.0, 48, 48)
-        bt.validate(s, weyl2)
         flux = bt.chern_flux(weyl2, s)
         deg = bt.degree(weyl2.two_band_field, s)
         assert flux.value == deg.value
@@ -64,37 +66,32 @@ class TestChernFlux:
     def test_mesh_refinement_invariance(self, weyl2):
         vals = []
         for n in (24, 48):
-            s = validated_sphere(weyl2, [0, 0, math.pi / 2], n=n)
+            s = sphere_in(weyl2, [0, 0, math.pi / 2], n=n)
             vals.append(bt.chern_flux(weyl2, s).value)
         assert vals[0] == vals[1]
 
     def test_orientation_reversal_negates(self, weyl2):
-        s = validated_sphere(weyl2, [0, 0, math.pi / 2])
+        s = sphere_in(weyl2, [0, 0, math.pi / 2])
         assert bt.chern_flux(weyl2, s.reversed()).value == -bt.chern_flux(weyl2, s).value
 
     def test_gauge_invariance_random_phases(self, weyl2):
-        s = validated_sphere(weyl2, [0, 0, -math.pi / 2])
+        s = sphere_in(weyl2, [0, 0, -math.pi / 2])
         frames = frames_at(weyl2, s.points)
         rng = np.random.default_rng(7)
         phases = np.exp(2j * math.pi * rng.random((len(s.points), 1, 1)))
-        assert (
-            bt.chern_flux(weyl2, s, frames=frames * phases).value
-            == bt.chern_flux(weyl2, s, frames=frames).value
-        )
+        assert _flux_charge(s, frames * phases).value == bt.chern_flux(weyl2, s).value == 1
 
     def test_unvalidated_surface_near_nodal_set_rejected(self, weyl2):
         s = bt.sphere_around([0, 0, math.pi / 2 - 0.299], 0.3, 16, 16)
-        bt.validate(s, weyl2)
         with pytest.raises(SurfaceError):
             bt.chern_flux(weyl2, s)
 
     def test_coarse_mesh_rejected(self, weyl2):
         # 3x3 mesh with the Weyl point near the surface: a single plaquette
-        # holds most of the flux quantum
-        s = bt.sphere_around([0.05, 0.03, math.pi / 2 - 0.24], 0.3, 3, 3)
-        bt.validate(s, weyl2)
-        with pytest.raises(MeshResolutionError):
-            bt.chern_flux(weyl2, s, residual_tol=0.005)
+        # holds most of the flux quantum, at the default tolerance
+        s = bt.sphere_around([-0.07, -0.103, math.pi / 2 + 0.107], 0.3, 3, 3)
+        with pytest.raises(MeshResolutionError, match=r"plaquette flux 2\.\d+ close to the branch cut"):
+            bt.chern_flux(weyl2, s)
 
 
 class TestDegree:
@@ -118,7 +115,7 @@ class TestDegree:
         assert bt.degree(nodal_loop2.two_band_field, s).value == 0
 
     def test_matches_chern_at_weyl_point(self, weyl2):
-        s = validated_sphere(weyl2, [0, 0, math.pi / 2])
+        s = sphere_in(weyl2, [0, 0, math.pi / 2])
         assert bt.degree(weyl2.two_band_field, s).value == -1
         assert bt.degree(weyl2.two_band_field, s).value == bt.chern_flux(weyl2, s).value
 
@@ -129,7 +126,7 @@ class TestDegree:
             bt.degree(weyl2.two_band_field, s)
 
     def test_orientation_reversal_negates(self, weyl2):
-        s = validated_sphere(weyl2, [0, 0, -math.pi / 2])
+        s = sphere_in(weyl2, [0, 0, -math.pi / 2])
         f = weyl2.two_band_field
         assert bt.degree(f, s.reversed()).value == -bt.degree(f, s).value
 
@@ -139,7 +136,7 @@ class TestDegree:
         locus = bt.extract_locus(model, resolution=24)
         assert locus.points, "fixture models must have zeros"
         for p in locus.points:
-            s = validated_sphere(model, p.position, 0.25, 32)
+            s = sphere_in(model, p.position, 0.25, 32)
             flux = bt.chern_flux(model, s)
             deg = bt.degree(model.two_band_field, s)
             assert flux.value == deg.value
@@ -185,8 +182,6 @@ class TestQuadLoopReference:
             bt.tube_around(core, 0.15, 48, 16),
             bt.slice_torus("z", 0.0, 24, 20),
         ]
-        for s in out:
-            bt.validate(s, weyl2)
         return out
 
     def test_degree_matches_triangle_loop(self, weyl2, surfaces):
@@ -205,7 +200,7 @@ class TestQuadLoopReference:
             frames = frames_at(weyl2, s.points)
             for t in (s, s.reversed()):
                 raw = -reference_flux(frames, t)[0] / (2 * math.pi)
-                flux = bt.chern_flux(weyl2, t, frames=frames)
+                flux = bt.chern_flux(weyl2, t)
                 assert flux.value == int(np.rint(raw)) == bt.degree(
                     weyl2.two_band_field, t).value
                 assert abs(flux.residual - abs(raw - flux.value)) < 1e-12
@@ -322,11 +317,10 @@ class TestHolonomy:
 
     def test_one_svd_call_per_invariant(self, weyl2, nodal_loop2, nodal_loop2_locus,
                                         four_band, four_band_locus, svd_calls):
-        sphere = validated_sphere(weyl2, [0, 0, math.pi / 2], 0.3, 24)
+        sphere = sphere_in(weyl2, [0, 0, math.pi / 2], 0.3, 24)
         mer = bt.tube_around(nodal_loop2_locus.loops[0], 0.15, 16, 200).meridian(0)
         loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
         tube = bt.tube_around(loop, 0.25, 32, 32)
-        bt.validate(tube, four_band)
         del svd_calls[:]
         # one occupied band: the rank-1 links take no SVD at all
         bt.chern_flux(weyl2, sphere)
@@ -402,8 +396,9 @@ class TestHolonomy:
 
 
 class TestFrameReuse:
-    """``validate`` makes the one eigensolve at the vertices of a surface;
-    the charges on it reuse those frames."""
+    """Each charge on a surface makes one ``validate``, whose one eigensolve
+    at the vertices gives both the gap and the frames; the surface itself
+    keeps nothing."""
 
     @pytest.fixture()
     def eig_calls(self, monkeypatch):
@@ -451,37 +446,42 @@ class TestFrameReuse:
         assert len(companions) == (4 if name == "four_band_lattice" else 0)
         assert not companions & set(validated)
 
-    def test_charges_make_no_eigensolve(self, weyl2, four_band, four_band_locus, eig_calls):
-        sphere = validated_sphere(weyl2, [0, 0, math.pi / 2])
+    def test_each_charge_makes_one_eigensolve(self, weyl2, four_band, four_band_locus,
+                                              eig_calls):
+        sphere = sphere_in(weyl2, [0, 0, math.pi / 2])
         loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
         tube = bt.tube_around(loop, 0.25, 32, 32)
-        bt.validate(tube, four_band)
         del eig_calls[:]
         flux = bt.chern_flux(weyl2, sphere)
-        w2 = bt.w2_on(four_band, tube)
-        assert eig_calls == []
-        # the same charges from fresh frames
-        assert flux == bt.chern_flux(weyl2, sphere, frames=frames_at(weyl2, sphere.points))
-        tube.vertex_frames = None
-        assert w2.to_record() == bt.w2_on(four_band, tube).to_record()
-        assert len(eig_calls) == 2
-
-    def test_other_occupied_count_takes_fresh_frames(self, four_band, four_band_locus,
-                                                     eig_calls):
-        loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
-        tube = bt.tube_around(loop, 0.25, 32, 32,
-                              other_components=[four_band_locus.open_arcs[0].vertices])
-        bt.validate(tube, four_band)
-        del eig_calls[:]
-        assert bt.chern_flux(four_band, tube, occupied_count=1).value == 0
-        assert eig_calls == [(len(tube.points),)]
-
-    def test_other_model_takes_fresh_frames(self, weyl2, eig_calls):
-        sphere = validated_sphere(weyl2, [0, 0, math.pi / 2])
-        other = bt.builtin("weyl-lattice", m=2)
-        del eig_calls[:]
-        assert bt.chern_flux(other, sphere).value == -1
         assert eig_calls == [(len(sphere.points),)]
+        w2 = bt.w2_on(four_band, tube)
+        assert eig_calls == [(len(sphere.points),), (len(tube.points),)]
+        # the surface keeps nothing: a second call solves afresh, to the same charge
+        assert flux == bt.chern_flux(weyl2, sphere)
+        assert w2.to_record() == bt.w2_on(four_band, tube).to_record()
+        assert len(eig_calls) == 4
+
+    def test_surface_unchanged_by_validate_and_charges(self, weyl2, four_band,
+                                                       four_band_locus):
+        def snapshot(surface):
+            def freeze(v):
+                if isinstance(v, np.ndarray):
+                    return v.dtype.str, v.shape, v.tobytes()
+                if isinstance(v, tuple):
+                    return tuple(freeze(x) for x in v)
+                return copy.deepcopy(v)
+            return {k: freeze(v) for k, v in vars(surface).items()}
+
+        loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
+        sphere = sphere_in(weyl2, [0, 0, math.pi / 2])
+        tube = bt.tube_around(loop, 0.25, 32, 32)
+        for model, surf, charges in ((weyl2, sphere, [bt.chern_flux]),
+                                     (four_band, tube, [bt.chern_flux, bt.w2_on])):
+            before = snapshot(surf)
+            bt.validate(surf, model)
+            for charge in charges:
+                charge(model, surf)
+            assert snapshot(surf) == before
 
     def test_chern_scan_one_call_per_slice(self, weyl2, eig_calls):
         bt.chern_scan(weyl2, "z", [-2.0, 0.0, math.pi / 2, 2.0], n_u=16, n_v=16)
@@ -578,9 +578,7 @@ class TestW1:
 class TestW2:
     def test_four_band_tube(self, four_band, four_band_locus):
         loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
-        arc = four_band_locus.open_arcs[0]
-        tube = bt.tube_around(loop, 0.25, 64, 64, other_components=[arc.vertices])
-        bt.validate(tube, four_band)
+        tube = bt.tube_around(loop, 0.25, 64, 64)
         res = bt.w2_on(four_band, tube)
         assert res.value == 1
         assert res.value == res.crossing_count % 2
@@ -591,24 +589,21 @@ class TestW2:
         vals = []
         for n in (64, 128):
             tube = bt.tube_around(loop, 0.25, n, n)
-            bt.validate(tube, four_band)
             vals.append(bt.w2_on(four_band, tube).value)
         assert vals == [1, 1]
 
     def test_two_band_unsupported(self, nodal_loop2, nodal_loop2_locus):
         tube = bt.tube_around(nodal_loop2_locus.loops[0], 0.15, 32, 32)
-        bt.validate(tube, nodal_loop2)
         with pytest.raises(UnsupportedModelError):
             bt.w2_on(nodal_loop2, tube)
 
     def test_complex_model_unsupported(self, weyl2):
-        s = validated_sphere(weyl2, [math.pi, math.pi, math.pi], 0.4)
+        s = sphere_in(weyl2, [math.pi, math.pi, math.pi], 0.4)
         with pytest.raises(UnsupportedModelError):
             bt.w2_on(weyl2, s)
 
     def test_gapped_sphere_zero(self, four_band_lattice):
         s = bt.sphere_around([math.pi / 2, math.pi / 2, math.pi / 2], 0.4, 48, 48)
-        bt.validate(s, four_band_lattice)
         res = bt.w2_on(four_band_lattice, s)
         assert res.value == 0
         assert res.w1_cycles == (0, 0)
@@ -616,17 +611,41 @@ class TestW2:
     def test_orientation_reversal_preserves(self, four_band, four_band_locus):
         loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
         tube = bt.tube_around(loop, 0.25, 48, 48)
-        bt.validate(tube, four_band)
         assert bt.w2_on(four_band, tube.reversed()).value == bt.w2_on(four_band, tube).value
+
+    def test_transport_matches_matrix_reference(self, four_band, four_band_locus,
+                                                four_band_lattice, four_band_lattice_locus):
+        # the sign transport against the O(2) matrix transport, in both
+        # orientations: four-band tubes, the lattice Fermi tubes, spheres
+        # around those loops, a gapped sphere and gapped slices
+        loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
+        cases = [(four_band, bt.tube_around(loop, 0.25, n, n), 1) for n in (32, 64, 128)]
+        fermi = [l for l in four_band_lattice_locus.loops if l.gap_index == 2]
+        assert len(fermi) == 8
+        for l in fermi:
+            cases.append((four_band_lattice, bt.tube_around(l, 0.14, 32, 32), 1))
+            cases.append((four_band_lattice, bt.sphere_around(l.vertices.mean(axis=0), 0.9,
+                                                              32, 32), 1))
+        cases.append((four_band_lattice, bt.sphere_around([math.pi / 2] * 3, 0.4, 32, 32), 0))
+        for axis, value in (("x", -1.5), ("y", 1.5), ("z", -0.7)):
+            cases.append((four_band_lattice, bt.slice_torus(axis, value, 24, 24), 0))
+        for model, surf, w2 in cases:
+            frames = frames_at(model, surf.points)
+            for twin in (surf, surf.reversed()):
+                res = _w2_rank2(twin, frames)
+                track, count, w1 = reference_w2_track(twin, frames)
+                assert np.max(np.abs(res.spectrum[:, 1] - track)) < 1e-12
+                assert (res.value, res.crossing_count, res.w1_cycles) == (w2, count, (0, w1))
+                assert w1 == (surf.kind == "tube-torus")
 
     def test_occupied_rank_other_than_two_unsupported(self, four_band, four_band_locus):
         loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
-        tube = bt.tube_around(loop, 0.25, 32, 32,
-                              other_components=[four_band_locus.open_arcs[0].vertices])
-        bt.validate(tube, four_band)
+        tube = bt.tube_around(loop, 0.25, 32, 32)
         for occupied in (1, 3):
-            with pytest.raises(UnsupportedModelError, match="exactly 2 occupied bands"):
-                bt.w2_on(four_band, tube, occupied_count=occupied)
+            model = dataclasses.replace(four_band, occupied_count=occupied)
+            with pytest.raises(UnsupportedModelError,
+                               match=f"exactly 2 occupied bands.* has {occupied} occupied of 4"):
+                bt.w2_on(model, tube)
 
 
 class TestChernScan:
@@ -663,7 +682,7 @@ class TestChernScan:
 
 class TestRecords:
     def test_chirality_record(self, weyl2):
-        s = validated_sphere(weyl2, [0, 0, math.pi / 2])
+        s = sphere_in(weyl2, [0, 0, math.pi / 2])
         rec = bt.chern_flux(weyl2, s).to_record()
         assert set(rec) == {"value", "surface_id", "method", "residual", "mesh"}
         assert rec["method"] == "berry-flux"
@@ -671,7 +690,6 @@ class TestRecords:
     def test_w2_record_with_spectrum(self, four_band, four_band_locus):
         loop = [l for l in four_band_locus.loops if l.gap_index == 2][0]
         tube = bt.tube_around(loop, 0.25, 32, 32)
-        bt.validate(tube, four_band)
         res = bt.w2_on(four_band, tube)
         rec = res.to_record(include_spectrum=True)
         assert len(rec["spectrum"]) == res.mesh[1] + 1

@@ -81,7 +81,6 @@ class TestCloseArc:
         res = bt.linking_number(loop, closed, closure=meta)
         assert abs(res.value) == 1
         tube = bt.tube_around(loop, 0.25, 64, 64)
-        bt.validate(tube, four_band)
         w2 = bt.w2_on(four_band, tube)
         assert w2.value == abs(res.value) % 2
 

@@ -464,7 +464,6 @@ class TestClosedFormCharges:
     def charges(self, model, surfaces):
         row = []
         for surf in surfaces:
-            surf.min_gap_on_surface = None
             try:
                 flux = bt.chern_flux(model, surf)
             except (MeshResolutionError, SurfaceError) as exc:
@@ -472,7 +471,7 @@ class TestClosedFormCharges:
                 continue
             deg = bt.degree(model.two_band_field, surf)
             row.append((flux.value, flux.residual, deg.value, deg.residual,
-                        surf.min_gap_on_surface))
+                        bt.validate(surf, model)[0]))
         return row
 
     @pytest.mark.parametrize("name", sorted(WEYL_SEEDS))
@@ -531,7 +530,6 @@ class TestNoEigensolverForTwoBand:
             model.eigenframes(k)
             model.eigenframes(k[0], occupied=2)
         sphere = bt.sphere_around([0, 0, math.pi / 2], 0.3, 24, 24)
-        assert sphere.min_gap_on_surface is None  # chern_flux validates it here
         assert bt.chern_flux(weyl2, sphere).value == -1
         # multiband models keep the eigensolver
         four = bt.builtin("four-band-linked-lattice", m=1)

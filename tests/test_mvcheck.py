@@ -134,9 +134,9 @@ class TestAssembleLedger:
             checked.append(np.asarray(loop.vertices))
             return check(model, loop, min_gap)
 
-        def counted_frames(model, points, occupied=None):
+        def counted_frames(model, points):
             framed.append(np.asarray(points))
-            return frames_at(model, points, occupied=occupied)
+            return frames_at(model, points)
 
         monkeypatch.setattr(invariants, "_check_loop_gap", counted_check)
         monkeypatch.setattr(invariants, "frames_at", counted_frames)
@@ -148,12 +148,22 @@ class TestAssembleLedger:
             assert sum(f.shape == verts.shape and np.array_equal(f, verts)
                        for f in framed) == 1
 
-    def test_explicit_zero_radius_rejected(self, weyl2, weyl2_locus, nodal_loop2,
-                                           nodal_loop2_locus):
+    def test_explicit_zero_radius_rejected(self, nodal_loop2, nodal_loop2_locus):
         with pytest.raises(SurfaceError, match="sphere radius must be positive"):
-            bt.assemble_ledger(weyl2, weyl2_locus, sphere_radius=0.0)
+            bt.sphere_around([0, 0, 0], 0.0)
         with pytest.raises(SurfaceError, match="tube radius must be positive"):
             bt.assemble_ledger(nodal_loop2, nodal_loop2_locus, tube_radius=0.0)
+
+    def test_tube_clearance_measured_on_the_torus(self, nodal_loop2):
+        # circles of radius 0.5 at x = +-2.9: 5.8 apart in R^3, but only
+        # 2 pi - 5.8 = 0.483 across the zone boundary
+        loops = [
+            bt.NodalLoop(bt.circle_loop([x, 0.0, 0.0], 0.5, [1, 0, 0], 120).vertices)
+            for x in (-2.9, 2.9)
+        ]
+        locus = bt.NodalLocus(loops=loops, model_name=nodal_loop2.name)
+        with pytest.raises(SurfaceError, match="0.483.* from the nearest other component"):
+            bt.assemble_ledger(nodal_loop2, locus, mesh=(16, 16), tube_radius=0.2)
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
     def test_non_finite_radius_rejected(self, nodal_loop2, nodal_loop2_locus, radius):
