@@ -9,12 +9,14 @@ A model on n = 2^s bands holds one representation.  At construction its
 terms are expanded once on the 4^s Pauli words, which span every n x n
 matrix, so the expansion is exact: each word P carries the coefficients of
 the terms M with tr(P M) / n != 0, that weight folded into their
-amplitudes.  H(k) sums the words and ``to_config`` writes them.  A
-two-band model H = h0 + h . sigma takes its I, X, Y and Z words as h0 and
-h, and its spectrum h0 -/+ |h| and eigenvectors come in closed form.
-Models with more bands assemble H(k) and call the LAPACK eigensolver.
-``hamiltonian_gradient`` sums the same words with the analytic gradients of
-their coefficients, so dH/dk needs no finite differences.
+amplitudes.  ``to_config`` writes the words.  Evaluation reads one harmonic
+table (``_Harmonics``), built from the words at construction: the distinct
+cos harmonics, sin harmonics and monomial exponents, each an integer array,
+with one amplitude matrix per kind.  A two-band model H = h0 + h . sigma
+tabulates its words I, X, Y and Z, reads h0 and h off one evaluation, and
+takes its spectrum h0 -/+ |h| and eigenvectors in closed form.  A model
+with more bands tabulates the entries of H and calls the LAPACK
+eigensolver.  dH/dk reads the same harmonics with per-axis amplitudes.
 """
 
 from __future__ import annotations
@@ -118,17 +120,11 @@ class Domain:
         return np.all(np.abs(np.asarray(k, dtype=float)) <= self.extent + 1e-12, axis=-1)
 
     def check(self, k):
-        if self.is_torus:
-            return
-        if not np.all(self.contains(k)):
-            raise DomainError(
-                f"k-point outside continuum box [-{self.extent}, {self.extent}]^3"
-            )
+        if not self.is_torus and not np.all(self.contains(k)):
+            raise DomainError(f"k-point outside continuum box [-{self.extent}, {self.extent}]^3")
 
     def to_dict(self):
-        if self.is_torus:
-            return {"type": "torus"}
-        return {"type": "box", "extent": self.extent}
+        return {"type": "torus"} if self.is_torus else {"type": "box", "extent": self.extent}
 
 
 TORUS = Domain("torus")
@@ -143,13 +139,16 @@ def as_k_array(k):
 
 
 class CoefficientSpec:
-    """Scalar function of k built from cos/sin harmonics and monomials.
+    """Scalar function of k built from cos/sin harmonics and monomials: the
+    validated input and serialized form of a model's coefficients.
 
     Each entry is ``(kind, nvec, amplitude)`` with kind in {"cos", "sin",
     "poly"}: ``cos`` and ``sin`` use the integer harmonic vector n in
     ``a*cos(n.k)`` / ``a*sin(n.k)``; ``poly`` contributes the monomial
     ``a * kx^n0 * ky^n1 * kz^n2`` (continuum models only).  Amplitudes must
-    be finite, n whole numbers and monomial exponents non-negative.
+    be finite, n whole numbers and monomial exponents non-negative.  A spec
+    is not evaluated itself: models and two-band fields tabulate their specs
+    in one ``_Harmonics`` table.
     """
 
     def __init__(self, entries):
@@ -168,61 +167,87 @@ class CoefficientSpec:
             cleaned.append((kind, nvec, amp))
         self.entries = tuple(cleaned)
 
-    def __call__(self, k):
-        k = np.asarray(k, dtype=float)
-        out = np.zeros(k.shape[:-1])
-        for kind, nvec, amp in self.entries:
-            n = np.array(nvec, dtype=float)
-            if kind == "cos":
-                out = out + amp * np.cos(k @ n)
-            elif kind == "sin":
-                out = out + amp * np.sin(k @ n)
-            else:
-                term = np.full(k.shape[:-1], amp)
-                for axis, p in enumerate(nvec):
-                    if p:
-                        term = term * k[..., axis] ** p
-                out = out + term
-        return out
-
-    def gradient(self, k):
-        """The gradient of the scalar in k; shape (..., 3)."""
-        k = np.asarray(k, dtype=float)
-        out = np.zeros(k.shape)
-        for kind, nvec, amp in self.entries:
-            n = np.array(nvec, dtype=float)
-            if kind == "cos":
-                out = out - (amp * np.sin(k @ n))[..., None] * n
-            elif kind == "sin":
-                out = out + (amp * np.cos(k @ n))[..., None] * n
-            else:
-                for axis, p in enumerate(nvec):
-                    if not p:
-                        continue
-                    term = np.full(k.shape[:-1], amp * p)
-                    for other, q in enumerate(nvec):
-                        power = q - (other == axis)
-                        if power:
-                            term = term * k[..., other] ** power
-                    out[..., axis] += term
-        return out
-
-    @property
-    def is_trigonometric(self):
-        return all(kind != "poly" for kind, _, _ in self.entries)
-
     def to_dict(self):
-        return [
-            {"kind": kind, "harmonic": list(nvec), "amplitude": amp}
-            for kind, nvec, amp in self.entries
-        ]
+        return [{"kind": kind, "harmonic": list(nvec), "amplitude": amp}
+                for kind, nvec, amp in self.entries]
 
     @classmethod
     def from_dict(cls, data):
-        entries = []
-        for item in data:
-            entries.append((item["kind"], item["harmonic"], item["amplitude"]))
-        return cls(entries)
+        return cls((item["kind"], item["harmonic"], item["amplitude"]) for item in data)
+
+
+def _rows(kind, kt, n):
+    """cos(k.n), sin(k.n) or (``poly``) k^n, as repeated products, for each
+    integer row n at the points of kt (3 x points); shape (h, points)."""
+    if kind != "poly":
+        phase = n[:, 0, None] * kt[0] + n[:, 1, None] * kt[1] + n[:, 2, None] * kt[2]
+        return np.cos(phase) if kind == "cos" else np.sin(phase)
+    out = np.ones((len(n), kt.shape[1]))
+    for axis, exps in enumerate(n.T):
+        for power in range(1, exps.max() + 1):
+            out = out * np.where(exps[:, None] >= power, kt[axis], 1.0)
+    return out
+
+
+class _Harmonics:
+    """One table of the distinct harmonics of some coefficient columns.
+
+    ``columns`` holds one entry list (as ``CoefficientSpec.entries``) per
+    column.  Each kind keeps its distinct integer rows n (h x 3) and one
+    amplitude matrix A (h x columns); a row repeated in a column sums.  The
+    columns at k are sum_kind f(k, n) A, with f = cos(k.n), sin(k.n) or k^n.
+    The gradient reads the same harmonics with per-axis amplitudes n_i A, one
+    block of columns per axis: on sin(k.n), negated, for cos rows; on cos(k.n)
+    for sin rows; on k^(n - e_i) for monomials.  Rows whose amplitudes all
+    vanish (constants, n_i = 0) are dropped from the gradient.
+
+    Results come columns first, shape (columns, ...), and are summed by
+    einsum along the points: its sums run in row order whatever the number
+    of points (BLAS's do not), so one k-point and a batch agree bit for bit.
+    """
+
+    def __init__(self, columns):
+        self.width = len(columns)
+        amps = {}  # (kind, n) -> amplitude in each column, in order of first use
+        for col, entries in enumerate(columns):
+            for kind, nvec, amp in entries:
+                amps.setdefault((kind, nvec), np.zeros(self.width))[col] += amp
+        self.value, self.slope = [], []
+        for kind in ("cos", "sin", "poly"):
+            keys = [key for key in amps if key[0] == kind]
+            if not keys:
+                continue
+            n = np.array([nvec for _, nvec in keys])
+            a = np.array([amps[key] for key in keys])
+            self.value.append((kind, n, a))
+            per_axis = n[:, :, None] * a[:, None, :]  # (h, axis, column)
+            if kind == "poly":  # row (h, i): exponents n - e_i, amplitudes in block i
+                eye = np.eye(3, dtype=int)
+                rows = (n[:, None, :] - eye).reshape(-1, 3)
+                d = (per_axis[:, :, None, :] * eye[:, :, None]).reshape(len(rows), -1)
+            else:  # d cos(k.n) = -n sin(k.n) dk and d sin(k.n) = n cos(k.n) dk
+                rows, d = n, per_axis.reshape(len(n), -1) * (-1.0 if kind == "cos" else 1.0)
+                kind = "sin" if kind == "cos" else "cos"
+            keep = np.any(d != 0, axis=1)
+            if np.any(keep):
+                self.slope.append((kind, rows[keep], d[keep]))
+
+    def __call__(self, k):
+        """The columns at k; shape (columns, ...)."""
+        return self._sum(self.value, k, (self.width,))
+
+    def gradient(self, k):
+        """d/dk_i of the columns at k; shape (3, columns, ...)."""
+        return self._sum(self.slope, k, (3, self.width))
+
+    @staticmethod
+    def _sum(blocks, k, lead):
+        if not blocks:
+            return np.zeros(lead + k.shape[:-1])
+        kt = np.ascontiguousarray(k.reshape(-1, 3).T)
+        rows = np.concatenate([_rows(kind, kt, n) for kind, n, _ in blocks])
+        out = np.einsum("hc,hp->cp", np.concatenate([a for *_, a in blocks]), rows)
+        return out.reshape(lead + k.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -256,7 +281,7 @@ class BlochModel:
         for coeff, mat in self.terms:
             if np.shape(mat) != (n, n):
                 raise ConfigError("term matrix size does not match band_count")
-            if self.domain.is_torus and not coeff.is_trigonometric:
+            if self.domain.is_torus and any(kind == "poly" for kind, _, _ in coeff.entries):
                 raise ConfigError("torus models require trigonometric coefficients")
         mats = np.reshape([mat for _, mat in self.terms], (-1, n, n))
         if np.any(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))) > HERMITICITY_TOL):
@@ -271,51 +296,55 @@ class BlochModel:
         entries = {}  # word index -> folded entries, in order of first use
         for (coeff, _), row in zip(self.terms, weights):
             for w in np.flatnonzero(np.abs(row) > WORD_WEIGHT_TOL):
-                entries.setdefault(w, []).extend(
-                    (kind, nvec, amp * row[w]) for kind, nvec, amp in coeff.entries
-                )
-        expansion = tuple(
-            (words[w], CoefficientSpec(e), basis[w].real if self.reality else basis[w])
-            for w, e in entries.items()
+                entries.setdefault(w, []).extend((kind, nvec, amp * row[w])
+                                                 for kind, nvec, amp in coeff.entries)
+        specs = {w: CoefficientSpec(e) for w, e in entries.items()}
+        # every word's matrix entries as floats: (re, im) pairs, or re alone
+        flat = basis.view(float).reshape(len(basis), -1)[:, :: 2 if self.reality else 1]
+        if n == 2:  # the four words: h0 = I and h = (X, Y, Z)
+            columns = [entries.get(w, ()) for w in range(4)]
+        else:  # the entries of H, each word's amplitudes times its own entry
+            columns = [[(kind, nvec, amp * f[w]) for w, e in entries.items() if f[w]
+                        for kind, nvec, amp in e] for f in flat.T]
+        self.__dict__.update(
+            _words=tuple((words[w], spec) for w, spec in specs.items()),
+            _table=_Harmonics(columns),
+            _basis=flat[:4] if n == 2 else None,
+            _field=None if n != 2 else TwoBandField(
+                [specs.get(w, CoefficientSpec([])) for w in (1, 2, 3)], domain=self.domain),
         )
-        object.__setattr__(self, "_words", expansion)
-        pauli = None
-        if n == 2:
-            by_word = {word: coeff for word, coeff, _ in expansion}
-            h0, hx, hy, hz = (by_word.get(p, CoefficientSpec([])) for p in PAULI)
-            pauli = (h0, TwoBandField([hx, hy, hz], domain=self.domain))
-        object.__setattr__(self, "_pauli", pauli)
 
     # -- evaluation ------------------------------------------------------
 
     def hamiltonian(self, k):
-        """Evaluate H(k), the sum of the Pauli words. Accepts shape (3,) or (..., 3)."""
+        """Evaluate H(k) from one table evaluation. Accepts shape (3,) or (..., 3)."""
         k = as_k_array(k)
         self.domain.check(k)
-        dtype = float if self.reality else complex
-        shape = k.shape[:-1] + (self.band_count, self.band_count)
-        out = np.zeros(shape, dtype=dtype)
-        for _, coeff, mat in self._words:
-            out = out + coeff(k)[..., None, None] * mat
-        return out
+        return self._matrices(self._table(k), k.shape[:-1])
 
     def hamiltonian_gradient(self, k):
-        """dH/dk_i at k, shape (..., 3, band_count, band_count): the Pauli
-        words weighted by the gradients of their coefficients."""
+        """dH/dk_i at k, shape (..., 3, band_count, band_count), from the
+        table's gradient."""
         k = as_k_array(k)
         self.domain.check(k)
-        dtype = float if self.reality else complex
-        shape = k.shape[:-1] + (3, self.band_count, self.band_count)
-        out = np.zeros(shape, dtype=dtype)
-        for _, coeff, mat in self._words:
-            out = out + coeff.gradient(k)[..., None, None] * mat
-        return out
+        return self._matrices(np.moveaxis(self._table.gradient(k), 0, -1), k.shape[:-1] + (3,))
+
+    def _matrices(self, columns, lead):
+        """Matrices from table columns: H's entries, or the four words of a
+        two-band model times their matrices, which is exact (two words
+        meet at an entry, each 0, +-1 or +-i)."""
+        rows = np.ascontiguousarray(np.moveaxis(columns, 0, -1)).reshape(-1, len(columns))
+        if self.band_count == 2:
+            rows = rows @ self._basis
+        if not self.reality:
+            rows = rows.view(complex)
+        return rows.reshape(lead + (self.band_count, self.band_count))
 
     def spectrum(self, k):
         """Ascending eigenvalues of H(k); shape (..., band_count).
 
         Two-band models return h0 -/+ |h| from their I, X, Y and Z words."""
-        if self._pauli is None:
+        if self._field is None:
             return np.linalg.eigvalsh(self.hamiltonian(k))
         return self._two_band(k)[0]
 
@@ -337,7 +366,7 @@ class BlochModel:
         ``(..., band_count, occ)``.  Real models yield real frames.
         """
         occ = self.occupied_count if occupied is None else int(occupied)
-        if self._pauli is None:
+        if self._field is None:
             energies, vectors = np.linalg.eigh(self.hamiltonian(k))
         else:
             energies, h, norm = self._two_band(k)
@@ -349,16 +378,16 @@ class BlochModel:
     @property
     def two_band_field(self):
         """The R^3-valued field h with H = h0 + h . sigma, or None if not 2-band."""
-        return None if self._pauli is None else self._pauli[1]
+        return self._field
 
     def _two_band(self, k):
-        """Energies h0 -/+ |h|, h and |h| (as ``TwoBandField.norm``) at k."""
+        """Energies h0 -/+ |h|, h (components first) and |h| at k, from one
+        table evaluation."""
         k = as_k_array(k)
         self.domain.check(k)
-        identity, fld = self._pauli
-        h = fld(k)
-        norm = np.linalg.norm(h, axis=-1)
-        h0 = identity(k)
+        pauli = self._table(k)
+        h0, h = pauli[0], pauli[1:]
+        norm = np.linalg.norm(h, axis=0)
         return np.stack([h0 - norm, h0 + norm], axis=-1), h, norm
 
     # -- serialization -----------------------------------------------------
@@ -371,22 +400,20 @@ class BlochModel:
             "occupied_count": self.occupied_count,
             "reality": self.reality,
             "domain": self.domain.to_dict(),
-            "terms": [
-                {"pauli": word, "coeff": coeff.to_dict()} for word, coeff, _ in self._words
-            ],
+            "terms": [{"pauli": word, "coeff": spec.to_dict()} for word, spec in self._words],
         }
 
 
 def _two_band_vectors(h, norm, real):
-    """Unit eigenvectors of h . sigma as columns (lower, upper); real for
-    real models.
+    """Unit eigenvectors of h . sigma (h components first) as columns
+    (lower, upper); real for real models.
 
     The lower vector is (hx - i hy, -(hz + |h|)) where hz >= 0 and
     (hz - |h|, hx + i hy) where hz < 0, so neither entry cancels; the upper
     one is its orthogonal complement (-conj(b), conj(a)).  At an exact node
     the columns are those of the identity, as LAPACK returns for H = 0.
     """
-    hx, hy, hz = np.moveaxis(h, -1, 0)
+    hx, hy, hz = h
     s = np.abs(hz) + norm
     off = hx if real else hx - 1j * hy
     up = hz >= 0
@@ -410,10 +437,13 @@ def fix_gauge(frames):
 
 
 class TwoBandField:
-    """The vector field h of a two-band model H = h . sigma.
+    """The vector field h of a two-band model H = h0 + h . sigma.
 
     ``components`` are three CoefficientSpec scalars; for reality-flagged
-    models the middle component is identically zero.
+    models the middle component is identically zero.  They are tabulated
+    once as the three columns of one ``_Harmonics`` table, so h(k) is one
+    table evaluation.  A model's own field is built from its X, Y and Z
+    words.
     """
 
     def __init__(self, components, domain=TORUS):
@@ -421,13 +451,10 @@ class TwoBandField:
             raise ConfigError("two-band field needs 3 components")
         self.components = tuple(components)
         self.domain = domain
+        self._table = _Harmonics([c.entries for c in self.components])
 
     def __call__(self, k):
-        k = as_k_array(k)
-        return np.stack([c(k) for c in self.components], axis=-1)
-
-    def norm(self, k):
-        return np.linalg.norm(self(k), axis=-1)
+        return np.moveaxis(self._table(as_k_array(k)), 0, -1)
 
 
 def model_from_field(name, field, occupied_count=1, reality=None, domain=None):
@@ -435,79 +462,55 @@ def model_from_field(name, field, occupied_count=1, reality=None, domain=None):
     domain = domain or field.domain
     if reality is None:
         reality = not field.components[1].entries
-    terms = []
-    for comp, letter in zip(field.components, "XYZ"):
-        if comp.entries:
-            terms.append((comp, pauli_word(letter)))
-    return BlochModel(
-        name=name,
-        band_count=2,
-        occupied_count=occupied_count,
-        reality=reality,
-        domain=domain,
-        terms=tuple(terms),
-    )
+    terms = tuple((c, pauli_word(p)) for c, p in zip(field.components, "XYZ") if c.entries)
+    return BlochModel(name, 2, occupied_count, reality, domain, terms)
 
 
 # -- built-in models -------------------------------------------------------
 
 
+def _axis_entries(kind, amp):
+    """``kind`` harmonics along kx, ky and kz, each with amplitude ``amp``."""
+    return [(kind, tuple(axis), amp) for axis in np.eye(3, dtype=int)]
+
+
+def _cos_sum(m):
+    """cos kx + cos ky + cos kz - m."""
+    return CoefficientSpec(_axis_entries("cos", 1.0) + [("cos", (0, 0, 0), -float(m))])
+
+
 def _weyl_lattice(m):
     if not 1.0 < abs(m) < 3.0:
         raise ConfigError("weyl-lattice: need 1 < |m| < 3 for a two-point nodal set")
-    hx = CoefficientSpec([("sin", (1, 0, 0), 1.0)])
-    hy = CoefficientSpec([("sin", (0, 1, 0), 1.0)])
-    hz = CoefficientSpec(
-        [
-            ("cos", (1, 0, 0), 1.0),
-            ("cos", (0, 1, 0), 1.0),
-            ("cos", (0, 0, 1), 1.0),
-            ("cos", (0, 0, 0), -float(m)),
-        ]
-    )
-    field = TwoBandField([hx, hy, hz])
+    hx, hy, _ = (CoefficientSpec([entry]) for entry in _axis_entries("sin", 1.0))
+    field = TwoBandField([hx, hy, _cos_sum(m)])
     return model_from_field(f"weyl-lattice(m={m:g})", field, reality=False)
 
 
 def _nodal_loop_real(m):
     if not 1.0 < m < 3.0:
         raise ConfigError("nodal-loop-real: need 1 < m < 3 for a single nodal loop")
-    h1 = CoefficientSpec(
-        [
-            ("cos", (1, 0, 0), 1.0),
-            ("cos", (0, 1, 0), 1.0),
-            ("cos", (0, 0, 1), 1.0),
-            ("cos", (0, 0, 0), -float(m)),
-        ]
-    )
-    h2 = CoefficientSpec([])
     h3 = CoefficientSpec([("sin", (0, 0, 1), 1.0)])
-    field = TwoBandField([h1, h2, h3])
+    field = TwoBandField([_cos_sum(m), CoefficientSpec([]), h3])
     return model_from_field(f"nodal-loop-real(m={m:g})", field, reality=True)
 
 
 FOUR_BAND_WORDS = ("IX", "YY", "IZ", "ZZ")
 
 
+def _four_band(name, kind, amp, mass, domain):
+    """The real four-band model: ``kind`` harmonics of amplitude ``amp`` along
+    kx, ky and kz on IX, YY and IZ, and the constant ``mass`` entry on ZZ."""
+    entries = [[entry] for entry in _axis_entries(kind, amp)] + [[mass]]
+    terms = tuple((CoefficientSpec(e), pauli_word(w)) for e, w in zip(entries, FOUR_BAND_WORDS))
+    return BlochModel(name, 4, 2, True, domain, terms)
+
+
 def _four_band_linked(m, extent=3.0):
     if not 0.0 < abs(m) < 2.5:
         raise ConfigError("four-band-linked: need 0 < |m| < 2.5 inside the default box")
-    cx = CoefficientSpec([("poly", (1, 0, 0), 1.0)])
-    cy = CoefficientSpec([("poly", (0, 1, 0), 1.0)])
-    cz = CoefficientSpec([("poly", (0, 0, 1), 1.0)])
-    cm = CoefficientSpec([("poly", (0, 0, 0), float(m))])
-    terms = tuple(
-        (coeff, pauli_word(word))
-        for coeff, word in zip((cx, cy, cz, cm), FOUR_BAND_WORDS)
-    )
-    return BlochModel(
-        name=f"four-band-linked(m={m:g})",
-        band_count=4,
-        occupied_count=2,
-        reality=True,
-        domain=Domain("box", float(extent)),
-        terms=terms,
-    )
+    return _four_band(f"four-band-linked(m={m:g})", "poly", 1.0,
+                      ("poly", (0, 0, 0), float(m)), Domain("box", float(extent)))
 
 
 FOUR_BAND_LATTICE_HOPPING = 2.0
@@ -520,22 +523,8 @@ def _four_band_linked_lattice(m):
     t = FOUR_BAND_LATTICE_HOPPING
     if not 0.0 < abs(m) < 2.0 * t / 2.0:
         raise ConfigError("four-band-linked-lattice: need 0 < |m| < 2")
-    cx = CoefficientSpec([("sin", (1, 0, 0), t)])
-    cy = CoefficientSpec([("sin", (0, 1, 0), t)])
-    cz = CoefficientSpec([("sin", (0, 0, 1), t)])
-    cm = CoefficientSpec([("cos", (0, 0, 0), float(m))])
-    terms = tuple(
-        (coeff, pauli_word(word))
-        for coeff, word in zip((cx, cy, cz, cm), FOUR_BAND_WORDS)
-    )
-    return BlochModel(
-        name=f"four-band-linked-lattice(m={m:g})",
-        band_count=4,
-        occupied_count=2,
-        reality=True,
-        domain=TORUS,
-        terms=terms,
-    )
+    return _four_band(f"four-band-linked-lattice(m={m:g})", "sin", t,
+                      ("cos", (0, 0, 0), float(m)), TORUS)
 
 
 BUILTINS = {
@@ -553,9 +542,7 @@ def builtin(name, **params):
     ``four-band-linked(m[, extent])``, ``four-band-linked-lattice(m)``.
     """
     if name not in BUILTINS:
-        raise ConfigError(
-            f"unknown builtin {name!r}; known: {', '.join(sorted(BUILTINS))}"
-        )
+        raise ConfigError(f"unknown builtin {name!r}; known: {', '.join(sorted(BUILTINS))}")
     try:
         return BUILTINS[name](**params)
     except TypeError as exc:
@@ -582,24 +569,16 @@ def model_from_config(data):
         if version != 1:
             raise ConfigError(f"unsupported schema_version {version}")
         dom = data["domain"]
-        domain = (
-            TORUS if dom["type"] == "torus" else Domain("box", float(dom["extent"]))
-        )
-        terms = []
-        for term in data["terms"]:
-            coeff = CoefficientSpec.from_dict(term["coeff"])
-            terms.append((coeff, pauli_word(term["pauli"])))
+        domain = TORUS if dom["type"] == "torus" else Domain("box", float(dom["extent"]))
+        terms = tuple((CoefficientSpec.from_dict(term["coeff"]), pauli_word(term["pauli"]))
+                      for term in data["terms"])
         reality = data["reality"]
         if not isinstance(reality, bool):
             raise ConfigError(f"reality must be true or false, got {reality!r}")
-        return BlochModel(
-            name=str(data.get("name", "config-model")),
-            band_count=_integer(data["band_count"], "band_count"),
-            occupied_count=_integer(data["occupied_count"], "occupied_count"),
-            reality=reality,
-            domain=domain,
-            terms=tuple(terms),
-        )
+        return BlochModel(str(data.get("name", "config-model")),
+                          _integer(data["band_count"], "band_count"),
+                          _integer(data["occupied_count"], "occupied_count"),
+                          reality, domain, terms)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"malformed model config: {exc}") from exc
 

@@ -258,12 +258,12 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, tube_radius=None):
     """Compute every applicable charge for every locus component.
 
     Points get a Berry-flux chirality on a sphere of radius
-    min(DEFAULT_SPHERE_RADIUS, separation / 3) (cross-checked against the
-    map degree for two-band models); Fermi-level loops get the meridian
-    Berry phase, w1, and, for real multiband models, the w2 monopole charge
-    on a tube.  The loop charges share one tube, validated only where w2
-    reads it; the meridian samples its ring at ``DEFAULT_LOOP_POINTS`` angles
-    or more.  The tube radius defaults to min(DEFAULT_TUBE_RADIUS,
+    min(DEFAULT_SPHERE_RADIUS, separation / 3), cross-checked against the
+    map degree for two-band models (a disagreement raises LedgerError);
+    Fermi-level loops get the meridian Berry phase, w1, and, for real
+    multiband models, the w2 monopole charge on a tube.  The loop charges
+    share one tube, validated only where w2 reads it; the meridian samples
+    its ring at ``DEFAULT_LOOP_POINTS`` angles or more.  The tube radius defaults to min(DEFAULT_TUBE_RADIUS,
     clearance / 3.5); a ``tube_radius`` at or above clearance / 3 raises
     SurfaceError, where the clearance is the smaller of the loop's own and
     its distance on the torus (or in the box) to every other component.
@@ -288,12 +288,11 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, tube_radius=None):
             entry.chirality_residual = flux.residual
             entry.surface_id = sphere.surface_id
             fld = model.two_band_field
-            if fld is not None:
-                deg = degree(fld, sphere)
-                if deg.value != flux.value:
-                    entry.notes = (
-                        f"degree oracle disagrees: {deg.value} vs {flux.value}"
-                    )
+            if fld is not None and (deg := degree(fld, sphere)).value != flux.value:
+                raise LedgerError(
+                    f"degree oracle disagrees at {comp.id} {entry.position}: "
+                    f"degree {deg.value}, Chern flux {flux.value}"
+                )
         elif comp.kind == "loop":
             sep = _component_min_separation(comp, comps, torus)
             clearance = min(loop_clearance(comp.item), sep)

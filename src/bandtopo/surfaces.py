@@ -9,13 +9,14 @@ mesh closes exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import SurfaceError
-from .model import TWO_PI, as_k_array, fix_gauge, reduce_torus
+from .model import TWO_PI, as_k_array, fix_gauge, reduce_torus, torus_delta
 
 SPHERE = "sphere"
 TUBE = "tube-torus"
@@ -232,7 +233,11 @@ def sphere_around(center, radius, n_u=64, n_v=64, domain=None, surface_id=None):
 
 
 def loop_clearance(loop):
-    """Geometric clearance of a loop: min(self-approach, curvature radius)."""
+    """Geometric clearance of a loop: min(self-approach, curvature radius).
+
+    The self-approach of a loop winding around the torus counts the chords
+    to its images under the lattice translations 2 pi s with s not a multiple
+    of the winding: the other strands of the same line."""
     verts = np.asarray(loop.vertices, dtype=float)
     n = len(verts)
     clearance = math.inf
@@ -247,6 +252,21 @@ def loop_clearance(loop):
     close = chord < 0.5 * s
     if np.any(close):
         clearance = float(np.min(chord[close]))
+    w = np.array(getattr(loop, "winding", (0, 0, 0)))
+    if np.any(w):
+        # one period of the line, unwrapped; the shifts that are not
+        # multiples of w, by the lower bound on their chords from the box
+        lift = np.cumsum(np.vstack([verts[:1], torus_delta(verts[1:], verts[:-1])]), axis=0)
+        r = int(np.abs(w).max()) + 1
+        shifts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)))
+        dot = shifts @ w
+        shifts = shifts[np.any(shifts * (w @ w) != np.outer(dot, w), axis=1) | (dot % (w @ w) != 0)]
+        gap = np.maximum(0.0, TWO_PI * np.abs(shifts) - np.ptp(lift, axis=0))
+        bound = np.linalg.norm(gap, axis=1)
+        for b, offset in sorted(zip(bound, shifts.tolist())):
+            if b < clearance:
+                gaps = lift[:, None, :] - lift[None, :, :] + TWO_PI * np.array(offset)
+                clearance = min(clearance, float(np.linalg.norm(gaps, axis=-1).min()))
     # curvature radius from vertex triples
     radii = _circumradii(np.roll(verts, 1, axis=0), verts, np.roll(verts, -1, axis=0))
     return min(clearance, 2.0 * float(np.min(radii)))

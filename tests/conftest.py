@@ -75,14 +75,72 @@ def random_two_band(seed, amplitude=0.3):
     return model_from_field(f"random-two-band-{seed}", field, reality=False)
 
 
+def reference_coefficient(spec, k):
+    """A CoefficientSpec at k, summed entry by entry: the plain evaluator
+    that the model's harmonic table replaces."""
+    k = np.asarray(k, dtype=float)
+    out = np.zeros(k.shape[:-1])
+    for kind, nvec, amp in spec.entries:
+        n = np.array(nvec, dtype=float)
+        if kind == "cos":
+            out = out + amp * np.cos(k @ n)
+        elif kind == "sin":
+            out = out + amp * np.sin(k @ n)
+        else:
+            term = np.full(k.shape[:-1], amp)
+            for axis, p in enumerate(nvec):
+                if p:
+                    term = term * k[..., axis] ** p
+            out = out + term
+    return out
+
+
+def reference_coefficient_gradient(spec, k):
+    """The gradient of ``reference_coefficient`` in k, entry by entry;
+    shape (..., 3)."""
+    k = np.asarray(k, dtype=float)
+    out = np.zeros(k.shape)
+    for kind, nvec, amp in spec.entries:
+        n = np.array(nvec, dtype=float)
+        if kind == "cos":
+            out = out - (amp * np.sin(k @ n))[..., None] * n
+        elif kind == "sin":
+            out = out + (amp * np.cos(k @ n))[..., None] * n
+        else:
+            for axis, p in enumerate(nvec):
+                if not p:
+                    continue
+                term = np.full(k.shape[:-1], amp * p)
+                for other, q in enumerate(nvec):
+                    power = q - (other == axis)
+                    if power:
+                        term = term * k[..., other] ** power
+                out[..., axis] += term
+    return out
+
+
 def reference_hamiltonian(model, k):
-    """H(k) as the per-term sum of c_t(k) M_t, in term order: the
-    evaluation before the terms were expanded on the Pauli words."""
+    """H(k) as the per-term sum of c_t(k) M_t, in term order, each c_t
+    summed entry by entry: the evaluation before the terms were expanded on
+    the Pauli words and tabulated."""
     k = np.asarray(k, dtype=float)
     n = model.band_count
     out = np.zeros(k.shape[:-1] + (n, n), dtype=float if model.reality else complex)
     for coeff, mat in model.terms:
-        out = out + coeff(k)[..., None, None] * (mat.real if model.reality else mat)
+        out = out + reference_coefficient(coeff, k)[..., None, None] * (
+            mat.real if model.reality else mat)
+    return out
+
+
+def reference_hamiltonian_gradient(model, k):
+    """dH/dk_i as the per-term sum of the entry-by-entry gradients times
+    M_t; shape (..., 3, n, n)."""
+    k = np.asarray(k, dtype=float)
+    n = model.band_count
+    out = np.zeros(k.shape[:-1] + (3, n, n), dtype=float if model.reality else complex)
+    for coeff, mat in model.terms:
+        out = out + reference_coefficient_gradient(coeff, k)[..., None, None] * (
+            mat.real if model.reality else mat)
     return out
 
 
@@ -173,6 +231,20 @@ def reference_loop_clearance(loop):
             chord = np.linalg.norm(verts[j] - verts[i])
             if chord < 0.5 * s:
                 clearance = min(clearance, chord)
+    w = np.array(getattr(loop, "winding", (0, 0, 0)))
+    if np.any(w):  # every pair against every image not along the winding
+        from bandtopo.model import torus_delta
+
+        lift = [verts[0]]
+        for v in range(1, n):
+            lift.append(lift[-1] + torus_delta(verts[v], verts[v - 1]))
+        lift = np.array(lift)
+        r = int(np.abs(w).max()) + 1
+        for offset in itertools.product(range(-r, r + 1), repeat=3):
+            if any(np.array_equal(offset, m * w) for m in range(-r, r + 1)):
+                continue
+            gaps = lift[:, None, :] - lift[None, :, :] + 2 * math.pi * np.array(offset)
+            clearance = min(clearance, float(np.linalg.norm(gaps, axis=-1).min()))
     for i in range(n):
         a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
         ab, ac, bc = b - a, c - a, c - b

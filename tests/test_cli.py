@@ -117,6 +117,22 @@ class TestExitCodes:
         assert main(list(argv)) == code
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["report", "charges"])
+    def test_degree_oracle_disagreement_fails(self, tmp_path, monkeypatch, capsys, command):
+        import dataclasses
+
+        from bandtopo import mvcheck
+
+        true_degree = mvcheck.degree
+        monkeypatch.setattr(mvcheck, "degree", lambda fld, surface: dataclasses.replace(
+            true_degree(fld, surface), value=-true_degree(fld, surface).value))
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--model", "weyl-lattice", "--param", "m=2", "--grid", "16"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "degree oracle disagrees at P0" in err and "Traceback" not in err
+        assert not (tmp_path / f"{command}.json").exists()
+
     def test_python_m_entry_exit_status(self, tmp_path):
         src = os.path.dirname(os.path.dirname(bt.__file__))
         env = dict(os.environ)

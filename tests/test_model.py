@@ -20,7 +20,12 @@ from bandtopo.model import (
     reduce_torus,
 )
 
-from conftest import gapped_model, random_two_band, reference_hamiltonian
+from conftest import (
+    gapped_model,
+    random_two_band,
+    reference_hamiltonian,
+    reference_hamiltonian_gradient,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -176,7 +181,7 @@ class TestInvariants:
     def test_two_band_spectrum_matches_field_norm(self, weyl2):
         k = random_k()
         ev = weyl2.spectrum(k)
-        norm = weyl2.two_band_field.norm(k)
+        norm = np.linalg.norm(weyl2.two_band_field(k), axis=-1)
         assert np.max(np.abs(ev[:, 1] - norm)) < 1e-10
         assert np.max(np.abs(ev[:, 0] + norm)) < 1e-10
 
@@ -379,7 +384,7 @@ class TestClosedFormTwoBand:
 
     def test_gap_is_twice_field_norm(self, model, points):
         gap = model.direct_gap(points)
-        norm = model.two_band_field.norm(points)
+        norm = np.linalg.norm(model.two_band_field(points), axis=-1)
         h0 = pauli_parts(model, points)[0]
         if not np.any(h0):
             assert np.array_equal(gap, 2 * norm)
@@ -569,14 +574,6 @@ class TestPauliExpansion:
     """Every model is expanded once on the Pauli words of its band count."""
 
     @pytest.mark.parametrize("name", sorted(EXPANDED_MODELS))
-    def test_hamiltonian_bitwise_per_term_sum(self, name):
-        model = EXPANDED_MODELS[name]()
-        k = domain_points(model)
-        got, ref = model.hamiltonian(k), reference_hamiltonian(model, k)
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("name", sorted(EXPANDED_MODELS))
     def test_config_writes_the_built_words(self, name):
         model = EXPANDED_MODELS[name]()
         assert model.to_config()["terms"] == [
@@ -663,6 +660,96 @@ class TestHamiltonianGradient:
     def test_box_domain_checked(self, four_band):
         with pytest.raises(DomainError):
             four_band.hamiltonian_gradient([3.5, 0.0, 0.0])
+
+
+def shared_harmonics_model():
+    """A complex four-band model whose words share harmonics: one n under
+    cos and sin, on several words and twice within one word, with constant
+    terms, |n| up to 3 and three words meeting on the diagonal."""
+    a = CoefficientSpec([("cos", (1, 2, -3), 0.7), ("sin", (1, 2, -3), -0.4),
+                         ("cos", (0, 0, 0), 0.25), ("cos", (1, 2, -3), 0.2),
+                         ("sin", (3, 0, 1), 0.3)])
+    b = CoefficientSpec([("sin", (1, 2, -3), 0.9), ("cos", (0, -3, 2), 1.1),
+                         ("cos", (0, 0, 0), -0.6), ("sin", (0, 0, 0), 0.5)])
+    c = CoefficientSpec([("cos", (3, 0, 1), -0.8), ("cos", (1, 2, -3), 0.35)])
+    terms = ((a, 0.5 * pauli_word("IX") + 0.3 * pauli_word("ZY")),
+             (b, pauli_word("ZY") - 0.7 * pauli_word("XZ")),
+             (c, 0.9 * pauli_word("IZ") + 0.4 * pauli_word("ZZ") - 0.2 * pauli_word("ZI")
+              + pauli_word("YY")))
+    return BlochModel("shared-harmonics", 4, 2, False, TORUS, terms)
+
+
+def cubic_box_model():
+    """A real four-band box model with monomials up to cubic, one of them on
+    two words, from a config."""
+    def spec(*entries):
+        return [{"kind": "poly", "harmonic": list(n), "amplitude": a} for n, a in entries]
+
+    return model_from_config({
+        "name": "cubic-box",
+        "band_count": 4,
+        "occupied_count": 2,
+        "reality": True,
+        "domain": {"type": "box", "extent": 1.5},
+        "terms": [
+            {"pauli": "IX", "coeff": spec(((3, 0, 0), 0.4), ((1, 2, 0), -0.6), ((0, 0, 0), 0.3))},
+            {"pauli": "ZZ", "coeff": spec(((0, 3, 1), 0.25), ((2, 1, 0), 0.5), ((3, 0, 0), -0.3))},
+            {"pauli": "YY", "coeff": spec(((1, 1, 1), 0.7), ((0, 0, 3), -0.2), ((3, 3, 3), 0.05))},
+        ],
+    })
+
+
+REFERENCE_MODELS = {
+    **EXPANDED_MODELS,
+    **GRADIENT_MODELS,
+    "identity-term": identity_term_model,
+    "mixed-terms": mixed_term_model,
+    "shared-harmonics": shared_harmonics_model,
+    "cubic-box": cubic_box_model,
+}
+
+
+def points_with_zeros(model):
+    """Random domain points, some with exactly zero (or -0.0) components,
+    and the origin."""
+    k = domain_points(model, 300)
+    k[::3, 0] = 0.0
+    k[1::3, 1] = -0.0
+    k[2::5, 2] = 0.0
+    k[::7, :2] = 0.0
+    return np.vstack([k, np.zeros(3)])
+
+
+class TestHarmonicTable:
+    """Every model is one harmonic table: H and dH/dk agree with the
+    per-entry sum of its terms, and one k-point with a batch, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_matches_per_entry_reference(self, name):
+        model = REFERENCE_MODELS[name]()
+        k = points_with_zeros(model)
+        for got, ref in ((model.hamiltonian(k), reference_hamiltonian(model, k)),
+                         (model.hamiltonian_gradient(k), reference_hamiltonian_gradient(model, k))):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * (1 + np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_single_point_equals_batch(self, name):
+        model = REFERENCE_MODELS[name]()
+        k = points_with_zeros(model)
+        for evaluate in (model.hamiltonian, model.hamiltonian_gradient, model.spectrum):
+            batch = evaluate(k)
+            for i in (0, 1, 2, 7, 150, len(k) - 1):
+                assert evaluate(k[i]).tobytes() == batch[i].tobytes()
+            grid = evaluate(k[:300].reshape(10, 30, 3))
+            assert grid.tobytes() == batch[:300].tobytes()
+
+    def test_each_harmonic_tabulated_once(self):
+        model = shared_harmonics_model()
+        rows = [(kind, tuple(n)) for kind, ns, _ in model._table.value for n in ns]
+        assert len(rows) == len(set(rows)) == 7
+        entries = sum(len(spec.entries) for _, spec in model._words)
+        assert entries > len(rows)
 
 
 class TestInputValidation:

@@ -166,10 +166,20 @@ class TestLoopClearance:
             if seen == 0:  # limited by the self-approach chord
                 assert abs(want - 0.1) < 1e-3
             got = loop_clearance(loop)
-            # a straight lattice line has neither a close chord nor curvature
-            assert got == want if math.isinf(want) else abs(got - want) <= 1e-12 * want
+            assert abs(got - want) <= 1e-12 * want
             seen += 1
         assert seen >= 10
+
+    def test_winding_line_meets_its_images(self, four_band_lattice_locus):
+        # a straight line has neither a close chord nor curvature: its
+        # clearance is the 2 pi to its own images across the zone
+        lines = [lp for lp in four_band_lattice_locus.loops if lp.winding != (0, 0, 0)]
+        assert len(lines) == 4
+        for line in lines:
+            assert abs(loop_clearance(line) - 2 * math.pi) < 1e-9
+        with pytest.raises(SurfaceError, match="loop clearance is 6.28319"):
+            bt.tube_around(lines[0], 3.5, 16, 16)
+        bt.tube_around(lines[0], 2.0, 16, 16)
 
 
 class TestParallelFrames:
