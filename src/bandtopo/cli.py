@@ -107,6 +107,11 @@ def _complex_resolution(text):
     return _int_at_least(text, MIN_COMPLEX_RESOLUTION, "complex resolution")
 
 
+def _slice_count(text):
+    """``scan --slices`` type: an integer number of slices of at least 1."""
+    return _int_at_least(text, 1, "slice count")
+
+
 def _tube_voxel_radius(text):
     """``cohomology --tube-voxels`` type: an integer tube radius of at least 1."""
     return _int_at_least(text, 1, "tube radius in voxels")
@@ -482,10 +487,7 @@ def cmd_cohomology(args):
             }
             for coeff in ("Q", "Z2"):
                 reports.append(
-                    mv_dimension_check(
-                        *spaces.values(), coeff, n_components=dec.n_components,
-                        betti_override={key: g[coeff].ranks for key, g in groups.items()},
-                    )
+                    mv_dimension_check(*spaces.values(), coeff, n_components=dec.n_components)
                 )
             for key, cx in spaces.items():
                 tables.append(
@@ -572,7 +574,7 @@ def build_parser():
         help="comma-separated slice coordinates in [-pi, pi); negative values "
         "work in both forms, --values -2,0,2 and --values=-2,0,2",
     )
-    p.add_argument("--slices", type=int, default=9)
+    p.add_argument("--slices", type=_slice_count, default=9)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("link", help="pairwise linking numbers")

@@ -556,15 +556,13 @@ class Verdict:
 
 
 def mv_dimension_check(total, complement, tube, boundary, coefficients="Q",
-                       n_components=None, betti_override=None):
+                       n_components=None):
     """Dimension-level exactness bookkeeping of the Mayer-Vietoris sequence.
 
     Checks: (a) the alternating sum of dimensions along the sequence
     vanishes; (b) the top boundary-surface cohomology has one generator per
     locus component; (c) the final sum-of-charges map is onto H^3(T^3) with
-    kernel of dimension (#components - 1).  ``betti_override`` substitutes
-    precomputed dimension vectors (groups the caller already has, or a
-    corrupted table to test the check).
+    kernel of dimension (#components - 1).
     """
     spaces = {
         "total": total,
@@ -572,12 +570,7 @@ def mv_dimension_check(total, complement, tube, boundary, coefficients="Q",
         "tube": tube,
         "boundary": boundary,
     }
-    betti = {}
-    for key, cx in spaces.items():
-        if betti_override and key in betti_override:
-            betti[key] = tuple(betti_override[key])
-        else:
-            betti[key] = cohomology_groups(cx, coefficients).ranks
+    betti = {key: cohomology_groups(cx, coefficients).ranks for key, cx in spaces.items()}
     if n_components is None:
         n_components = betti["tube"][0]
     ok_tube = betti["tube"][0] == n_components

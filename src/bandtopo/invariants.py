@@ -27,8 +27,8 @@ from .exceptions import (
     SurfaceError,
     UnsupportedModelError,
 )
-from .model import TWO_PI, fix_gauge, reduce_torus
-from .surfaces import SLICE, SPHERE, slice_torus, validate
+from .model import TWO_PI, reduce_torus
+from .surfaces import SLICE, SPHERE, sample_frames, slice_torus, validate
 
 CHERN_RESIDUAL_TOL = 0.01
 DEGREE_RESIDUAL_TOL = 0.05
@@ -45,11 +45,7 @@ W2_FLAT_TOL = 1e-5
 def frames_at(model, points):
     """Occupied eigenframes at a batch of points, with a deterministic
     per-column gauge (largest-magnitude entry made real positive)."""
-    pts = np.asarray(points, dtype=float)
-    if model.domain.is_torus:
-        pts = reduce_torus(pts)
-    _, frames = model.eigenframes(pts)
-    return fix_gauge(frames)
+    return sample_frames(model, points)[1]
 
 
 def _gapped_frames(model, surface):
@@ -377,29 +373,20 @@ def degree(fld, surface):
 def loop_frames(model, loop):
     """Occupied frames at the vertices of a closed loop, once the gap along
     it (vertices and edge midpoints) has been checked to exceed LOOP_MIN_GAP."""
-    _check_loop_gap(model, loop, LOOP_MIN_GAP)
-    return frames_at(model, np.asarray(loop.vertices, dtype=float))
+    pts = np.asarray(loop.vertices, dtype=float)
+    name = loop.label or "<loop>"
+    gap, frames = sample_frames(
+        model, pts, 0.5 * (pts + np.roll(pts, -1, axis=0)),
+        lambda gap: f"non-finite gap {gap} along loop {name}",
+    )
+    if gap <= LOOP_MIN_GAP:
+        raise SurfaceError(f"gap collapses to {gap:.3e} along loop {name}")
+    return frames
 
 
 def _loop_holonomy(frames):
     n = frames.shape[0]
     return holonomy(frames, np.arange(n + 1) % n)
-
-
-def _check_loop_gap(model, loop, min_gap):
-    pts = np.asarray(loop.vertices, dtype=float)
-    mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
-    pts = np.vstack([pts, mids])
-    if model.domain.is_torus:
-        pts = reduce_torus(pts)
-    gap = float(np.min(model.direct_gap(pts)))
-    if not math.isfinite(gap):  # NaN would pass every gap floor
-        raise SurfaceError(f"non-finite gap {gap} along loop {loop.label or '<loop>'}")
-    if gap <= min_gap:
-        raise SurfaceError(
-            f"gap collapses to {gap:.3e} along loop {loop.label or '<loop>'}"
-        )
-    return gap
 
 
 def berry_phase(model, loop, frames=None):

@@ -29,7 +29,7 @@ from .invariants import (
 )
 from .locus import split_components
 from .model import TWO_PI, _integer, torus_delta
-from .surfaces import loop_clearance, sphere_around, tube_around
+from .surfaces import loop_clearance, meridian_ring, sphere_around, tube_around
 
 
 @dataclass
@@ -235,23 +235,20 @@ DEFAULT_MESH = (64, 64)
 DEFAULT_LOOP_POINTS = 400
 
 
-def _sample_points(comp):
-    """The k-points that stand for a component: its position or vertices."""
-    if comp.kind == "point":
-        return np.asarray([comp.item.position])
-    return np.asarray(comp.item.vertices)
-
-
-def _component_min_separation(comp, others, torus):
-    own = _sample_points(comp)[:, None, :]
-    best = math.inf
-    for other in others:
-        if other.id == comp.id:
-            continue
-        pts = _sample_points(other)[None, :, :]
-        delta = torus_delta(own, pts) if torus else own - pts
-        best = min(float(np.linalg.norm(delta, axis=-1).min()), best)
-    return best
+def _separations(comps, torus):
+    """Each component's distance, on the torus or in the box, to the nearest
+    other one: its samples (position or vertices) against all the others'."""
+    samples = [np.reshape(c.item.position if c.kind == "point" else c.item.vertices, (-1, 3))
+               for c in comps]
+    stacked = np.concatenate([np.empty((0, 3)), *samples])
+    owner = np.repeat(np.arange(len(samples)), [len(s) for s in samples])
+    seps = []
+    for i, own in enumerate(samples):
+        delta = torus_delta(own[:, None], stacked) if torus else own[:, None] - stacked
+        dist = np.linalg.norm(delta, axis=-1)
+        dist[:, owner == i] = math.inf
+        seps.append(float(dist.min()))
+    return seps
 
 
 def assemble_ledger(model, locus, mesh=DEFAULT_MESH, tube_radius=None):
@@ -260,23 +257,23 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, tube_radius=None):
     Points get a Berry-flux chirality on a sphere of radius
     min(DEFAULT_SPHERE_RADIUS, separation / 3), cross-checked against the
     map degree for two-band models (a disagreement raises LedgerError);
-    Fermi-level loops get the meridian Berry phase, w1, and, for real
-    multiband models, the w2 monopole charge on a tube.  The loop charges
-    share one tube, validated only where w2 reads it; the meridian samples
-    its ring at ``DEFAULT_LOOP_POINTS`` angles or more.  The tube radius defaults to min(DEFAULT_TUBE_RADIUS,
+    loops get the Berry phase and, for real models, w1 on a meridian ring
+    of ``DEFAULT_LOOP_POINTS`` angles or more, and Fermi-level loops of real
+    multiband models the w2 monopole charge on a tube: the ring is the
+    tube's meridian at u = 0, and the tube is built only where w2 reads it.
+    The tube radius defaults to min(DEFAULT_TUBE_RADIUS,
     clearance / 3.5); a ``tube_radius`` at or above clearance / 3 raises
     SurfaceError, where the clearance is the smaller of the loop's own and
     its distance on the torus (or in the box) to every other component.
     """
     comps = split_components(locus)
-    torus = model.domain.is_torus
+    seps = _separations(comps, model.domain.is_torus)
     n_u, n_v = mesh
     ledger = ChargeLedger(model_name=model.name, occupied_count=model.occupied_count)
-    for comp in comps:
+    for comp, sep in zip(comps, seps):
         entry = LedgerEntry(id=comp.id, kind=comp.kind, gap_index=comp.gap_index)
         if comp.kind == "point":
             entry.position = [float(x) for x in comp.item.position]
-            sep = _component_min_separation(comp, comps, torus)
             radius = min(DEFAULT_SPHERE_RADIUS, sep / 3.0)
             sphere = sphere_around(
                 comp.item.position, radius, n_u, n_v, domain=model.domain,
@@ -294,22 +291,21 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, tube_radius=None):
                     f"degree {deg.value}, Chern flux {flux.value}"
                 )
         elif comp.kind == "loop":
-            sep = _component_min_separation(comp, comps, torus)
             clearance = min(loop_clearance(comp.item), sep)
             radius = tube_radius
             if radius is None:
                 radius = min(DEFAULT_TUBE_RADIUS, clearance / 3.5)
-            # tube_around checks the radius and the loop's own clearance
-            tube = tube_around(
-                comp.item, radius, n_u, n_v, surface_id=f"tube({comp.id},r={radius:g})",
+            entry.surface_id = f"tube({comp.id},r={radius:g})"
+            # the ring checks the mesh, radius and own clearance as the tube would
+            meridian = meridian_ring(
+                comp.item, radius, n_u, n_v, n=max(n_v, DEFAULT_LOOP_POINTS),
+                surface_id=entry.surface_id,
             )
             if radius >= clearance / 3.0:
                 raise SurfaceError(
                     f"tube radius {radius:g} too large: {comp.id} is {sep:g} from the "
                     "nearest other component (needs radius < clearance / 3)"
                 )
-            entry.surface_id = tube.surface_id
-            meridian = tube.meridian(0, n=max(n_v, DEFAULT_LOOP_POINTS))
             frames = loop_frames(model, meridian)  # one gap check for both charges
             bp = berry_phase(model, meridian, frames=frames)
             entry.berry_phase = bp.phase
@@ -319,6 +315,7 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, tube_radius=None):
                 if model.band_count > 2 and comp.gap_index == model.occupied_count:
                     # w2 exists for two occupied bands; at any other rank,
                     # or on an obstruction, the entry notes why it is missing
+                    tube = tube_around(comp.item, radius, n_u, n_v, surface_id=entry.surface_id)
                     try:
                         res = w2_on(model, tube)
                         entry.w2_result = res

@@ -1,10 +1,13 @@
-"""Closed oriented quadrilateral meshes in the Brillouin zone.
+"""Closed oriented quadrilateral meshes and rings in the Brillouin zone.
 
-Three parametric families: spheres around points, tube tori around nodal
-loops, and coordinate slice tori.  Meshes are stored as (n_u+1) x (n_v+1)
-vertex grids with explicit identifications (seams, poles) so that every
-gauge-theoretic computation uses one frame per geometric vertex and the
-mesh closes exactly.
+Three parametric mesh families: spheres around points, tube tori around
+nodal loops, and coordinate slice tori.  Meshes are stored as
+(n_u+1) x (n_v+1) vertex grids with explicit identifications (seams, poles)
+so that every gauge-theoretic computation uses one frame per geometric
+vertex and the mesh closes exactly.  Rings are closed polylines: planar
+circles, and the meridian ring of a tube, built without its mesh.  One
+sampler, ``sample_frames``, gives the occupied frames and the minimum gap
+of a model on the vertices of either, and between them.
 """
 
 from __future__ import annotations
@@ -40,10 +43,20 @@ class LoopPath:
 
 
 def circle_loop(center, radius, normal, n=200, label=""):
-    """A planar circle of given center, radius and plane normal."""
+    """A planar circle of given center, radius and plane normal, sampled at
+    ``n`` (at least MIN_MESH) equally spaced angles."""
+    if n < MIN_MESH:
+        raise SurfaceError(f"circle must have at least {MIN_MESH} vertices, got {n}")
     center = as_k_array(center)
+    if not math.isfinite(radius):
+        raise SurfaceError(f"circle radius must be finite, got {radius}")
+    if radius <= 0:
+        raise SurfaceError("circle radius must be positive")
     normal = np.asarray(normal, dtype=float)
-    normal = normal / np.linalg.norm(normal)
+    length = float(np.linalg.norm(normal))
+    if not (math.isfinite(length) and length > 0):
+        raise SurfaceError(f"circle normal must be finite and nonzero, got {normal.tolist()}")
+    normal = normal / length
     ref = np.zeros(3)
     ref[int(np.argmin(np.abs(normal)))] = 1.0
     a = np.cross(normal, ref)
@@ -71,7 +84,6 @@ class ClosedSurface:
         self.points = points
         self.surface_id = surface_id
         self.orientation = 1
-        self.tube_frame = None  # (center, normals, binormals, radius) of a tube
         self.n_u = grid.shape[0] - 1
         self.n_v = grid.shape[1] - 1
         self._check_quads()
@@ -117,25 +129,13 @@ class ClosedSurface:
         g = self.grid
         return 0.25 * (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:])
 
-    def meridian(self, iu=0, n=None):
-        """The v-cycle at fixed u (tube/slice only) as a closed LoopPath.
-
-        A tube from ``tube_around`` samples its ring at any ``n`` angles,
-        other meshes only at their n_v grid angles.
-        """
+    def meridian(self, iu=0):
+        """The v-cycle at fixed u (tube/slice only) as a closed LoopPath of
+        n_v vertices."""
         if self.kind == SPHERE:
             raise SurfaceError("sphere meshes have no closed meridian cycle")
         iu %= self.n_u
-        n = self.n_v if n is None else int(n)
-        if n == self.n_v:
-            verts = self.grid[iu, :n].copy()
-        elif self.tube_frame is not None:
-            center, normals, binormals, radius = self.tube_frame
-            verts = _rings(center[iu:iu + 1], normals[iu:iu + 1],
-                           binormals[iu:iu + 1], radius, n)[0, :n]
-        else:
-            raise SurfaceError(f"meridians of this mesh have {self.n_v} vertices, got {n}")
-        return LoopPath(verts, 1, f"{self.surface_id}:meridian(u={iu})")
+        return LoopPath(self.grid[iu, :self.n_v].copy(), 1, f"{self.surface_id}:meridian(u={iu})")
 
     def edge_quad_count(self):
         """Multiset check data: each undirected edge with its quad count."""
@@ -327,15 +327,9 @@ def _parallel_frames(verts):
     return out_n, np.cross(tangents, out_n)
 
 
-def tube_around(loop, radius, n_u=64, n_v=64, surface_id=None):
-    """Torus mesh around a nodal loop: u along the loop, v around the
-    meridian, outward orientation.
-
-    The framing is parallel-transported (rotation-minimizing) so meridians
-    carry no spurious twist.  Raises SurfaceError when the radius reaches a
-    third of the loop's own clearance (self-approach or curvature); the
-    clearance to other components is the caller's to check.
-    """
+def _tube_frame(loop, radius, n_u, n_v):
+    """The checks of ``tube_around``, then the n_u centres resampled along
+    the loop and their parallel-transported normal frames."""
     _check_mesh(n_u, n_v)
     verts = np.asarray(loop.vertices, dtype=float)
     clearance = loop_clearance(loop)
@@ -349,15 +343,37 @@ def tube_around(loop, radius, n_u=64, n_v=64, surface_id=None):
             "(needs radius < clearance / 3)"
         )
     center = _resample_loop(verts, n_u)
-    normals, binormals = _parallel_frames(center)
+    return (center, *_parallel_frames(center))
+
+
+def tube_around(loop, radius, n_u=64, n_v=64, surface_id=None):
+    """Torus mesh around a nodal loop: u along the loop, v around the
+    meridian, outward orientation.
+
+    The framing is parallel-transported (rotation-minimizing) so meridians
+    carry no spurious twist.  Raises SurfaceError when the radius reaches a
+    third of the loop's own clearance (self-approach or curvature); the
+    clearance to other components is the caller's to check.
+    """
+    center, normals, binormals = _tube_frame(loop, radius, n_u, n_v)
     ring = _rings(center, normals, binormals, radius, n_v)
     grid = np.concatenate([ring, ring[:1]])
 
     points, index_map = _unique_grid(grid)
     sid = surface_id or f"tube(r={radius:g},n={n_u}x{n_v})"
-    tube = ClosedSurface(TUBE, grid, index_map, points, sid)
-    tube.tube_frame = (center, normals, binormals, radius)
-    return tube
+    return ClosedSurface(TUBE, grid, index_map, points, sid)
+
+
+def meridian_ring(loop, radius, n_u=64, n_v=64, n=None, surface_id=None):
+    """The meridian at u = 0 of ``tube_around(loop, radius, n_u, n_v,
+    surface_id)``, with its checks and label, sampled at ``n`` angles
+    (default n_v) without building the tube: bit for bit the meridian of
+    the n_u x n tube."""
+    center, normals, binormals = _tube_frame(loop, radius, n_u, n_v)
+    n = n_v if n is None else n
+    verts = _rings(center[:1], normals[:1], binormals[:1], radius, n)[0, :n]
+    sid = surface_id or f"tube(r={radius:g},n={n_u}x{n_v})"
+    return LoopPath(verts, 1, f"{sid}:meridian(u=0)")
 
 
 def _rings(center, normals, binormals, radius, n):
@@ -398,28 +414,41 @@ def slice_torus(axis, value, n_u=64, n_v=64, surface_id=None):
     return ClosedSurface(SLICE, grid, index_map, points, sid)
 
 
+def sample_frames(model, points, between=(),
+                  describe=lambda gap: f"non-finite gap {gap} at the sampled k-points"):
+    """A model's gauge-fixed occupied frames at ``points`` and its smallest
+    direct gap at ``points`` and ``between`` (quad centres of a mesh, edge
+    midpoints of a ring): one eigensolve at the points, one spectrum call
+    between them.  Returns ``(min_gap, frames)``; a non-finite gap raises
+    SurfaceError with the text ``describe(gap)``.
+    """
+    pts = np.asarray(points, dtype=float)
+    mids = np.reshape(np.asarray(between, dtype=float), (-1, 3))
+    if model.domain.is_torus:
+        pts, mids = reduce_torus(pts), reduce_torus(mids)
+    else:
+        model.domain.check(pts)
+        model.domain.check(mids)
+    # a non-finite vertex gives non-finite frames; the gap check drops them
+    with np.errstate(invalid="ignore"):
+        energies, frames = model.eigenframes(pts)
+    gap = float(np.min(model.gap_of(energies)))
+    if len(mids):
+        gap = float(np.minimum(gap, np.min(model.direct_gap(mids))))
+    if not math.isfinite(gap):  # NaN would pass every gap floor
+        raise SurfaceError(describe(gap))
+    return gap, fix_gauge(frames)
+
+
 def validate(surface, model):
     """Sample the direct gap of a model on a surface's vertices and quad
     centers.
 
-    Returns ``(min_gap, frames)``: the smallest sampled gap, and the
-    occupied frames at the vertices from the same eigensolve, gauge-fixed
-    as ``frames_at`` fixes them.  The surface is left unchanged.  Raises
-    SurfaceError on a non-finite gap; the charges raise on a gap at or
-    below their floor.
+    Returns ``(min_gap, frames)`` of ``sample_frames``.  The surface is
+    left unchanged.  Raises SurfaceError on a non-finite gap; the charges
+    raise on a gap at or below their floor.
     """
-    pts = surface.points
-    centers = surface.quad_centers().reshape(-1, 3)
-    if model.domain.is_torus:
-        pts, centers = reduce_torus(pts), reduce_torus(centers)
-    else:
-        model.domain.check(pts)
-        model.domain.check(centers)
-    # a non-finite vertex gives non-finite frames; the gap check drops them
-    with np.errstate(invalid="ignore"):
-        energies, frames = model.eigenframes(pts)
-    mg = float(np.minimum(np.min(model.gap_of(energies)),
-                          np.min(model.direct_gap(centers))))
-    if not math.isfinite(mg):  # NaN would pass every gap floor
-        raise SurfaceError(f"surface {surface.surface_id} has a non-finite gap {mg}")
-    return mg, fix_gauge(frames)
+    return sample_frames(
+        model, surface.points, surface.quad_centers().reshape(-1, 3),
+        lambda gap: f"surface {surface.surface_id} has a non-finite gap {gap}",
+    )

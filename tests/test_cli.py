@@ -111,6 +111,8 @@ class TestExitCodes:
         (["link", "--model", "weyl-lattice", "--param", "m=2", "--mesh", "banana"], 64),
         (["scan", "--model", "weyl-lattice", "--param", "m=2", "--grid", "1000",
           "--tube-radius", "3"], 64),
+        (["scan", "--model", "weyl-lattice", "--param", "m=2", "--slices", "0"], 64),
+        (["scan", "--model", "weyl-lattice", "--param", "m=2", "--slices=-2"], 64),
     ])
     def test_module_exit_status(self, tmp_path, monkeypatch, capsys, argv, code):
         monkeypatch.chdir(tmp_path)
@@ -180,6 +182,20 @@ class TestSizeValidation:
         assert code == 64
         assert "argument --tube-radius" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("slices", ["0", "-1", "1.5"])
+    def test_slices_below_one_exit_64(self, tmp_path, capsys, slices):
+        code = run(["scan", "--model", "weyl-lattice", "--param", "m=2", "--mesh", "8x8",
+                    f"--slices={slices}", "--out", str(tmp_path)])
+        assert code == 64
+        assert "argument --slices" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_one_slice_accepted(self, tmp_path):
+        code = run(["scan", "--model", "weyl-lattice", "--param", "m=2", "--mesh", "8x8",
+                    "--slices", "1", "--out", str(tmp_path)])
+        assert code == 0
+        assert len((tmp_path / "scan.csv").read_text().strip().splitlines()) == 2
 
     def test_smallest_sizes_accepted(self, tmp_path):
         # scan reads --mesh but no --grid; locate reads --grid

@@ -251,13 +251,16 @@ class TestMVDimensionCheck:
         )
         assert q.table["betti"] == z2.table["betti"]
 
-    def test_corrupted_betti_fails(self, loop_decomposition):
+    def test_corrupted_betti_fails(self, loop_decomposition, point_decomposition):
+        # a point's complement, Betti (1, 3, 3, 0), in place of the loop's
+        # (1, 4, 3, 0): the alternating sum no longer vanishes
         dec = loop_decomposition
         rep = bt.mv_dimension_check(
-            dec.total, dec.complement, dec.tube, dec.boundary, "Q",
+            dec.total, point_decomposition.complement, dec.tube, dec.boundary, "Q",
             n_components=1,
-            betti_override={"complement": (1, 5, 3, 0)},
         )
+        assert rep.table["betti"]["complement"] == [1, 3, 3, 0]
+        assert rep.table["alternating_sum"] != 0
         assert not rep.passed
 
 

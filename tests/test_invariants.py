@@ -531,6 +531,10 @@ class TestBerryPhase:
         with pytest.raises(SurfaceError, match="non-finite gap"):
             bt.berry_phase(nodal_loop2, loop)
 
+    def test_frames_at_nan_error(self, nodal_loop2):
+        with pytest.raises(SurfaceError, match="non-finite gap nan at the sampled k-points"):
+            frames_at(nodal_loop2, [[0.0, math.nan, 0.0]])
+
     def test_nan_frames_error(self, nodal_loop2):
         loop = bt.circle_loop([0, 0, 2.0], 0.3, [0, 0, 1], 100)
         frames = loop_frames(nodal_loop2, loop)

@@ -127,26 +127,56 @@ class TestAssembleLedger:
 
         model = request.getfixturevalue(name)
         locus = request.getfixturevalue(f"{name}_locus")
-        checked, framed = [], []
-        check, frames_at = invariants._check_loop_gap, invariants.frames_at
+        sampled = []
+        sample = invariants.sample_frames
 
-        def counted_check(model, loop, min_gap):
-            checked.append(np.asarray(loop.vertices))
-            return check(model, loop, min_gap)
+        def counted_sample(model, points, between=None, describe=None):
+            sampled.append((np.asarray(points), between))
+            return sample(model, points, between, describe)
 
-        def counted_frames(model, points):
-            framed.append(np.asarray(points))
-            return frames_at(model, points)
-
-        monkeypatch.setattr(invariants, "_check_loop_gap", counted_check)
-        monkeypatch.setattr(invariants, "frames_at", counted_frames)
+        monkeypatch.setattr(invariants, "sample_frames", counted_sample)
         ledger = bt.assemble_ledger(model, locus, mesh=(32, 32))
         loops = [e for e in ledger.entries if e.kind == "loop"]
         assert loops and all(e.berry_w1 is not None for e in loops)
-        assert len(checked) == len(loops)
-        for verts in checked:  # each meridian's frames are taken once
-            assert sum(f.shape == verts.shape and np.array_equal(f, verts)
-                       for f in framed) == 1
+        # each meridian is sampled once, at its 400 vertices and the
+        # midpoints of its edges, for both loop charges
+        assert len(sampled) == len(loops)
+        for verts, mids in sampled:
+            assert verts.shape == (400, 3)
+            assert np.array_equal(mids, 0.5 * (verts + np.roll(verts, -1, axis=0)))
+
+    @pytest.mark.parametrize("name, tubes", [
+        ("four_band_lattice", 8), ("four_band", 1), ("nodal_loop2", 0), ("weyl2", 0),
+    ])
+    def test_tubes_only_where_w2_reads_them(self, monkeypatch, request, name, tubes):
+        from bandtopo import mvcheck
+
+        model = request.getfixturevalue(name)
+        locus = request.getfixturevalue(f"{name}_locus")
+        built = []
+        tube_around = mvcheck.tube_around
+
+        def counted_tube(*args, **kwargs):
+            built.append(tube_around(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(mvcheck, "tube_around", counted_tube)
+        ledger = bt.assemble_ledger(model, locus)
+        assert len(built) == tubes
+        assert [t.surface_id for t in built] == [
+            e.surface_id for e in ledger.fermi_loop_entries if e.w2 is not None
+        ]
+
+    def test_loop_errors_keep_their_text(self, four_band_lattice, four_band_lattice_locus):
+        # the first loop, L0, is a gap-1 companion that gets no tube: its
+        # meridian ring refuses the radius and the mesh as the tube would
+        locus = four_band_lattice_locus
+        assert locus.loops[0].gap_index == 1
+        with pytest.raises(SurfaceError, match=r"^tube radius 2\.5 too large: loop clearance "
+                           r"is 6\.28319 \(needs radius < clearance / 3\)$"):
+            bt.assemble_ledger(four_band_lattice, locus, tube_radius=2.5)
+        with pytest.raises(SurfaceError, match=r"^mesh must be at least 3x3, got 2x2$"):
+            bt.assemble_ledger(four_band_lattice, locus, mesh=(2, 2))
 
     def test_explicit_zero_radius_rejected(self, nodal_loop2, nodal_loop2_locus):
         with pytest.raises(SurfaceError, match="sphere radius must be positive"):

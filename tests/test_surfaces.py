@@ -16,6 +16,7 @@ from bandtopo.surfaces import (
     LoopPath,
     _solid_angles,
     loop_clearance,
+    meridian_ring,
 )
 
 from conftest import (
@@ -93,22 +94,33 @@ class TestTube:
         ).min(axis=1)
         assert np.max(np.abs(d - 0.15)) < 0.02
 
-    def test_meridian_resampled_equals_fine_tube(self, nodal_loop2_locus):
+    def test_meridian_ring_equals_tube_meridian(self, nodal_loop2_locus):
         loop = nodal_loop2_locus.loops[0]
-        tube = bt.tube_around(loop, 0.15, 32, 16)
-        for iu in (0, 7):
-            fine = bt.tube_around(loop, 0.15, 32, 400).meridian(iu).vertices
-            assert np.array_equal(tube.meridian(iu, n=400).vertices, fine)
-            assert np.array_equal(tube.meridian(iu, n=16).vertices, tube.meridian(iu).vertices)
-        # the reversed twin shares the frame
-        assert np.array_equal(tube.reversed().meridian(0, n=400).vertices,
-                              tube.meridian(0, n=400).vertices)
+        fine = bt.tube_around(loop, 0.15, 32, 400).meridian(0)
+        ring = meridian_ring(loop, 0.15, 32, 16, n=400)
+        assert ring.vertices.tobytes() == fine.vertices.tobytes()
+        # at n = n_v it is the tube's own meridian, label included
+        tube = bt.tube_around(loop, 0.15, 32, 16, surface_id="tube(L0)")
+        ring = meridian_ring(loop, 0.15, 32, 16, surface_id="tube(L0)")
+        assert ring.vertices.tobytes() == tube.meridian(0).vertices.tobytes()
+        assert ring.label == tube.meridian(0).label == "tube(L0):meridian(u=0)"
+
+    def test_meridian_ring_checks_as_the_tube(self, nodal_loop2_locus):
+        loop = nodal_loop2_locus.loops[0]
+        for args in ((10.0, 16, 16), (0.15, 2, 64), (0.15, 64, 2), (0.0, 16, 16)):
+            with pytest.raises(SurfaceError) as tube_err:
+                bt.tube_around(loop, *args)
+            with pytest.raises(SurfaceError) as ring_err:
+                meridian_ring(loop, *args, n=400)
+            assert str(ring_err.value) == str(tube_err.value)
 
     def test_slice_meridian_fixed_size(self):
         s = bt.slice_torus("z", 0.5, 12, 10)
-        assert len(s.meridian(3)) == len(s.meridian(3, n=10)) == 10
-        with pytest.raises(SurfaceError):
-            s.meridian(0, n=40)
+        mer = s.meridian(3)
+        assert len(mer) == 10
+        assert np.array_equal(mer.vertices, s.grid[3, :10])
+        with pytest.raises(SurfaceError, match="no closed meridian"):
+            bt.sphere_around([0, 0, 0], 0.3, 8, 8).meridian(0)
 
     def test_outward_orientation(self, nodal_loop2_locus):
         loop = nodal_loop2_locus.loops[0]
@@ -465,6 +477,20 @@ class TestLoopPath:
         assert len(c) == 100
         assert np.allclose(np.linalg.norm(c.vertices[:, :2], axis=1), 0.5)
         assert np.allclose(c.vertices[:, 2], 0.0)
+
+    @pytest.mark.parametrize("radius, normal, n, match", [
+        (math.nan, [0, 0, 1], 10, "radius must be finite"),
+        (math.inf, [0, 0, 1], 10, "radius must be finite"),
+        (-0.5, [0, 0, 1], 10, "radius must be positive"),
+        (0.0, [0, 0, 1], 10, "radius must be positive"),
+        (0.5, [0, 0, 0], 10, "normal must be finite and nonzero"),
+        (0.5, [0, math.nan, 1], 10, "normal must be finite and nonzero"),
+        (0.5, [0, 0, 1], 2, "at least 3 vertices, got 2"),
+        (0.5, [0, 0, 1], 0, "at least 3 vertices, got 0"),
+    ])
+    def test_circle_loop_rejects_bad_input(self, radius, normal, n, match):
+        with pytest.raises(SurfaceError, match=match):
+            bt.circle_loop([0, 0, 0], radius, normal, n)
 
     def test_reversed(self):
         c = bt.circle_loop([0, 0, 0], 0.5, [0, 0, 1], 10)
