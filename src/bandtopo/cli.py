@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .cohomology import (
     MIN_COMPLEX_RESOLUTION,
+    CohomologyGroups,
     complement_complex,
     klein_complex,
     mv_dimension_check,
@@ -481,19 +482,16 @@ def cmd_cohomology(args):
                 "tube": dec.tube,
                 "boundary": dec.boundary,
             }
-            groups = {
-                key: {coeff: cohomology_groups(cx, coeff) for coeff in ("Q", "Z2")}
-                for key, cx in spaces.items()
-            }
-            for coeff in ("Q", "Z2"):
-                reports.append(
-                    mv_dimension_check(*spaces.values(), coeff, n_components=dec.n_components)
-                )
+            # each field's check computes the groups of every space once;
+            # the tables read their ranks off it
+            checks = {coeff: mv_dimension_check(*spaces.values(), coeff,
+                                                n_components=dec.n_components)
+                      for coeff in ("Q", "Z2")}
+            reports.extend(checks.values())
             for key, cx in spaces.items():
-                tables.append(
-                    {"space": cx.name,
-                     "groups": {coeff: g.to_record() for coeff, g in groups[key].items()}}
-                )
+                tables.append({"space": cx.name, "groups": {
+                    coeff: CohomologyGroups(coeff, c.table["betti"][key], ((),) * 4).to_record()
+                    for coeff, c in checks.items()}})
             if args.integral:
                 reports.extend(uct_check(cx) for cx in spaces.values())
     payload = {

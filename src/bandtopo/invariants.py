@@ -51,7 +51,7 @@ def frames_at(model, points):
 def _gapped_frames(model, surface):
     """The vertex frames of one ``validate`` of the surface, once its
     minimum gap clears SURFACE_GAP_FLOOR (else SurfaceError)."""
-    min_gap, frames = validate(surface, model)
+    min_gap, frames = validate(surface, model, SURFACE_GAP_FLOOR)
     if min_gap <= SURFACE_GAP_FLOOR:
         raise SurfaceError(
             f"surface {surface.surface_id} has min gap "
@@ -372,12 +372,18 @@ def degree(fld, surface):
 
 def loop_frames(model, loop):
     """Occupied frames at the vertices of a closed loop, once the gap along
-    it (vertices and edge midpoints) has been checked to exceed LOOP_MIN_GAP."""
+    it (vertices and edge midpoints) has been checked to exceed LOOP_MIN_GAP.
+    A midpoint lies within half the largest edge of both its ends, along
+    each axis, so it is solved only where their gaps leave it open."""
     pts = np.asarray(loop.vertices, dtype=float)
     name = loop.label or "<loop>"
+    ends = np.roll(pts, -1, axis=0)
+    with np.errstate(invalid="ignore"):  # a non-finite loop reaches NaN
+        reach = 0.5 * np.max(np.abs(ends - pts), axis=0, initial=0.0)
     gap, frames = sample_frames(
-        model, pts, 0.5 * (pts + np.roll(pts, -1, axis=0)),
+        model, pts, 0.5 * (pts + ends),
         lambda gap: f"non-finite gap {gap} along loop {name}",
+        corners=np.append(np.arange(len(pts)), 0), reach=reach, floor=LOOP_MIN_GAP,
     )
     if gap <= LOOP_MIN_GAP:
         raise SurfaceError(f"gap collapses to {gap:.3e} along loop {name}")
@@ -538,7 +544,7 @@ def chern_scan(model, axis, values, n_u=64, n_v=64):
     out = []
     for value in values:
         surf = slice_torus(axis, value, n_u, n_v)
-        mg, frames = validate(surf, model)
+        mg, frames = validate(surf, model, SURFACE_GAP_FLOOR)
         if mg <= SURFACE_GAP_FLOOR:
             out.append(
                 SliceChern(

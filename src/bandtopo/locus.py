@@ -87,7 +87,7 @@ class ScanResult:
     grid: ScanGrid
     gap_threshold: dict
     flagged: dict  # gap_index -> list of (i, j, l) cell index triples
-    cell_min_gap: dict  # gap_index -> {cell: min sampled gap}
+    cell_min_gap: dict  # gap_index -> (n, n, n) min sampled gap of every cell
 
 
 def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None):
@@ -133,7 +133,7 @@ def scan_grid(model, resolution=48, gap_threshold=None, gap_index=None):
             mask = mins < float(gap_threshold)
             thresholds[g] = float(gap_threshold)
         flagged[g] = list(map(tuple, np.argwhere(mask).tolist()))
-        min_gaps[g] = dict(zip(flagged[g], mins[mask].tolist()))
+        min_gaps[g] = mins
     return ScanResult(model, resolution, grid, thresholds, flagged, min_gaps)
 
 
@@ -625,8 +625,11 @@ def _classify_cluster(model, grid, cluster, gap_index, gap_bound):
 
 
 def _cluster_gap_bound(scan, cluster, gap_index):
-    n = scan.grid.npoints  # box cell indices stay below npoints: only torus cells wrap
-    return max(scan.cell_min_gap[gap_index][tuple(x % n for x in c)] for c in cluster)
+    """The largest sampled cell gap of a cluster: one lookup of the scan's
+    per-cell minima (box cells stay below the resolution: only torus cells
+    wrap)."""
+    cells = np.asarray(cluster) % scan.grid.resolution
+    return float(np.max(scan.cell_min_gap[gap_index][tuple(cells.T)]))
 
 
 def _resolve_clusters(model, scan):

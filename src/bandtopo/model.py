@@ -37,6 +37,9 @@ HERMITICITY_TOL = 1e-12
 REALITY_TOL = 1e-12
 # Pauli weights at or below this are rounding noise of an absent word
 WORD_WEIGHT_TOL = 1e-14
+# a computed gap is off by rounding of order 1e-15 of the scale of H; a
+# bound on how far a gap moves allows this fraction of that scale on top
+GAP_ROUNDING = 1e-12
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -64,6 +67,47 @@ def _pauli_basis(sites):
     mats = np.stack([pauli_word(w) for w in words])
     mats.flags.writeable = False
     return words, mats
+
+
+def _anticommute(a, b):
+    """Whether two Pauli words anticommute: their letters differ, neither
+    being I, at an odd number of sites."""
+    return sum(x != y and "I" not in (x, y) for x, y in zip(a, b)) % 2 == 1
+
+
+def _gap_slopes(words, domain):
+    """The slope table behind ``BlochModel.gap_drift``.
+
+    Each non-identity word w gets per-axis constants L_{w,i} >= |d c_w/dk_i|
+    anywhere in the domain: sum |a| |n_i| over its cos and sin harmonics,
+    and |a| n_i e^(|n| - 1) over its monomials on a box of half-extent e.
+    Words whose constants all vanish are dropped, and the rest are grouped
+    greedily, in order, into families of mutually anticommuting words.
+    Returns the kept words, their constants (words x 3), the families (index
+    arrays into them) and the scale sum |a| (sum |a| e^|n| for monomials)
+    that bounds the norm of H in the domain.
+    """
+    kept, slopes, scale = [], [], 0.0
+    for word, spec in words:
+        slope = np.zeros(3)
+        for kind, nvec, amp in spec.entries:
+            n = np.abs(nvec)
+            size = domain.extent ** int(n.sum()) if kind == "poly" else 1.0
+            scale += abs(amp) * size
+            slope += abs(amp) * n * (size / domain.extent if kind == "poly" else 1.0)
+        if set(word) != {"I"} and np.any(slope):
+            kept.append(word)
+            slopes.append(slope)
+    families = []
+    for w, word in enumerate(kept):
+        for family in families:
+            if all(_anticommute(word, kept[v]) for v in family):
+                family.append(w)
+                break
+        else:
+            families.append([w])
+    return (tuple(kept), np.reshape(slopes, (-1, 3)),
+            tuple(np.array(f) for f in families), scale)
 
 
 def reduce_torus(coords):
@@ -308,6 +352,7 @@ class BlochModel:
                         for kind, nvec, amp in e] for f in flat.T]
         self.__dict__.update(
             _words=tuple((words[w], spec) for w, spec in specs.items()),
+            _slopes=_gap_slopes(((words[w], spec) for w, spec in specs.items()), self.domain),
             _table=_Harmonics(columns),
             _basis=flat[:4] if n == 2 else None,
             _field=None if n != 2 else TwoBandField(
@@ -351,6 +396,26 @@ class BlochModel:
     def direct_gap(self, k, gap_index=None):
         """Gap E_{g+1} - E_g between bands g and g+1 (1-based, default occ)."""
         return self.gap_of(self.spectrum(k), gap_index)
+
+    def gap_drift(self, reach):
+        """A bound on how far any gap of H moves between two points that
+        differ by at most ``reach[i]`` along each axis i, both in the domain
+        and on a segment that stays in it.
+
+        With the slope constants and anticommuting families of
+        ``_gap_slopes``: each family F's words square to the sum of their
+        squared coefficients, so ||H(k + d) - H(k)|| <= R = sum_F (sum_{w in
+        F} (L_w . reach)^2)^(1/2); the identity word moves every band alike.
+        By Weyl's inequality no gap moves by more than 2 R.  The bound adds
+        GAP_ROUNDING of the scale of H for the rounding of two computed
+        spectra.  A non-finite reach gives inf or NaN, which certifies
+        nothing.
+        """
+        _, slopes, families, scale = self._slopes
+        with np.errstate(invalid="ignore"):  # 0 * inf: a flat word, an infinite reach
+            moves = slopes @ np.asarray(reach, dtype=float)
+        drift = sum(math.sqrt(float(moves[f] @ moves[f])) for f in families)
+        return 2.0 * drift + GAP_ROUNDING * scale
 
     def gap_of(self, spectrum, gap_index=None):
         """Gap g (1-based, default occ) of an ascending ``spectrum`` array."""

@@ -29,7 +29,13 @@ from .invariants import (
 )
 from .locus import split_components
 from .model import TWO_PI, _integer, torus_delta
-from .surfaces import loop_clearance, meridian_ring, sphere_around, tube_around
+from .surfaces import (
+    loop_clearance,
+    meridian_ring,
+    sphere_around,
+    tube_around,
+    tube_frame,
+)
 
 
 @dataclass
@@ -291,15 +297,17 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, tube_radius=None):
                     f"degree {deg.value}, Chern flux {flux.value}"
                 )
         elif comp.kind == "loop":
-            clearance = min(loop_clearance(comp.item), sep)
+            own = loop_clearance(comp.item)
+            clearance = min(own, sep)
             radius = tube_radius
             if radius is None:
                 radius = min(DEFAULT_TUBE_RADIUS, clearance / 3.5)
             entry.surface_id = f"tube({comp.id},r={radius:g})"
-            # the ring checks the mesh, radius and own clearance as the tube would
+            # one checked frame (mesh, radius, own clearance) for the ring and the tube
+            frame = tube_frame(comp.item, radius, n_u, n_v, clearance=own)
             meridian = meridian_ring(
                 comp.item, radius, n_u, n_v, n=max(n_v, DEFAULT_LOOP_POINTS),
-                surface_id=entry.surface_id,
+                surface_id=entry.surface_id, frame=frame,
             )
             if radius >= clearance / 3.0:
                 raise SurfaceError(
@@ -315,7 +323,8 @@ def assemble_ledger(model, locus, mesh=DEFAULT_MESH, tube_radius=None):
                 if model.band_count > 2 and comp.gap_index == model.occupied_count:
                     # w2 exists for two occupied bands; at any other rank,
                     # or on an obstruction, the entry notes why it is missing
-                    tube = tube_around(comp.item, radius, n_u, n_v, surface_id=entry.surface_id)
+                    tube = tube_around(comp.item, radius, n_u, n_v,
+                                       surface_id=entry.surface_id, frame=frame)
                     try:
                         res = w2_on(model, tube)
                         entry.w2_result = res

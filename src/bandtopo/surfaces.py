@@ -327,12 +327,14 @@ def _parallel_frames(verts):
     return out_n, np.cross(tangents, out_n)
 
 
-def _tube_frame(loop, radius, n_u, n_v):
+def tube_frame(loop, radius, n_u=64, n_v=64, clearance=None):
     """The checks of ``tube_around``, then the n_u centres resampled along
-    the loop and their parallel-transported normal frames."""
+    the loop and their parallel-transported normal frames.  ``clearance``,
+    if given, is ``loop_clearance(loop)``, already measured."""
     _check_mesh(n_u, n_v)
     verts = np.asarray(loop.vertices, dtype=float)
-    clearance = loop_clearance(loop)
+    if clearance is None:
+        clearance = loop_clearance(loop)
     if not math.isfinite(radius):
         raise SurfaceError(f"tube radius must be finite, got {radius}")
     if radius <= 0:
@@ -346,16 +348,17 @@ def _tube_frame(loop, radius, n_u, n_v):
     return (center, *_parallel_frames(center))
 
 
-def tube_around(loop, radius, n_u=64, n_v=64, surface_id=None):
+def tube_around(loop, radius, n_u=64, n_v=64, surface_id=None, frame=None):
     """Torus mesh around a nodal loop: u along the loop, v around the
     meridian, outward orientation.
 
     The framing is parallel-transported (rotation-minimizing) so meridians
     carry no spurious twist.  Raises SurfaceError when the radius reaches a
     third of the loop's own clearance (self-approach or curvature); the
-    clearance to other components is the caller's to check.
+    clearance to other components is the caller's to check.  ``frame``, if
+    given, is ``tube_frame(loop, radius, n_u, n_v)``, already checked.
     """
-    center, normals, binormals = _tube_frame(loop, radius, n_u, n_v)
+    center, normals, binormals = frame or tube_frame(loop, radius, n_u, n_v)
     ring = _rings(center, normals, binormals, radius, n_v)
     grid = np.concatenate([ring, ring[:1]])
 
@@ -364,12 +367,12 @@ def tube_around(loop, radius, n_u=64, n_v=64, surface_id=None):
     return ClosedSurface(TUBE, grid, index_map, points, sid)
 
 
-def meridian_ring(loop, radius, n_u=64, n_v=64, n=None, surface_id=None):
+def meridian_ring(loop, radius, n_u=64, n_v=64, n=None, surface_id=None, frame=None):
     """The meridian at u = 0 of ``tube_around(loop, radius, n_u, n_v,
     surface_id)``, with its checks and label, sampled at ``n`` angles
     (default n_v) without building the tube: bit for bit the meridian of
-    the n_u x n tube."""
-    center, normals, binormals = _tube_frame(loop, radius, n_u, n_v)
+    the n_u x n tube.  ``frame`` is as for ``tube_around``."""
+    center, normals, binormals = frame or tube_frame(loop, radius, n_u, n_v)
     n = n_v if n is None else n
     verts = _rings(center[:1], normals[:1], binormals[:1], radius, n)[0, :n]
     sid = surface_id or f"tube(r={radius:g},n={n_u}x{n_v})"
@@ -415,40 +418,77 @@ def slice_torus(axis, value, n_u=64, n_v=64, surface_id=None):
 
 
 def sample_frames(model, points, between=(),
-                  describe=lambda gap: f"non-finite gap {gap} at the sampled k-points"):
+                  describe=lambda gap: f"non-finite gap {gap} at the sampled k-points",
+                  corners=None, reach=None, floor=None):
     """A model's gauge-fixed occupied frames at ``points`` and its smallest
     direct gap at ``points`` and ``between`` (quad centres of a mesh, edge
-    midpoints of a ring): one eigensolve at the points, one spectrum call
-    between them.  Returns ``(min_gap, frames)``; a non-finite gap raises
-    SurfaceError with the text ``describe(gap)``.
+    midpoints of a ring): one eigensolve at the points, one spectrum call at
+    the points between them that a bound leaves open.  Returns ``(min_gap,
+    frames)``; a non-finite gap raises SurfaceError with the text
+    ``describe(gap)``.
+
+    Without a ``floor`` every point between is solved and ``min_gap`` is the
+    exact minimum over all samples.  With one, ``corners`` indexes
+    ``points`` on a grid one longer than ``between`` along each leading
+    axis: the point between at index i lies in the cell of corners i to
+    i + 1 along every axis, within ``reach[j]`` of each corner along k-axis
+    j.  By Weyl's inequality its gap is at least any corner's minus
+    ``model.gap_drift(reach)``, so a point between whose best corner clears
+    the floor by that much is not solved.  ``min_gap`` is then the exact
+    minimum whenever that is at or below the floor, and above the floor
+    otherwise: a caller comparing it with the floor decides as if every
+    point were solved.
     """
     pts = np.asarray(points, dtype=float)
-    mids = np.reshape(np.asarray(between, dtype=float), (-1, 3))
+    mids = np.asarray(between, dtype=float)
     if model.domain.is_torus:
-        pts, mids = reduce_torus(pts), reduce_torus(mids)
+        pts = reduce_torus(pts)
     else:
         model.domain.check(pts)
         model.domain.check(mids)
     # a non-finite vertex gives non-finite frames; the gap check drops them
     with np.errstate(invalid="ignore"):
         energies, frames = model.eigenframes(pts)
-    gap = float(np.min(model.gap_of(energies)))
-    if len(mids):
+    gaps = model.gap_of(energies)
+    gap = float(np.min(gaps))
+    if floor is not None and mids.size:
+        best = gaps[corners]  # the best corner of each cell, one axis at a time
+        for axis in range(best.ndim):
+            best = np.maximum(best[(slice(None),) * axis + (slice(None, -1),)],
+                              best[(slice(None),) * axis + (slice(1, None),)])
+        with np.errstate(invalid="ignore"):  # a NaN bound certifies nothing
+            mids = mids[~(best > floor + model.gap_drift(reach))]
+    if mids.size:
+        if model.domain.is_torus:
+            mids = reduce_torus(mids)
         gap = float(np.minimum(gap, np.min(model.direct_gap(mids))))
     if not math.isfinite(gap):  # NaN would pass every gap floor
         raise SurfaceError(describe(gap))
     return gap, fix_gauge(frames)
 
 
-def validate(surface, model):
+def validate(surface, model, floor=None):
     """Sample the direct gap of a model on a surface's vertices and quad
     centers.
 
-    Returns ``(min_gap, frames)`` of ``sample_frames``.  The surface is
-    left unchanged.  Raises SurfaceError on a non-finite gap; the charges
-    raise on a gap at or below their floor.
+    Returns ``(min_gap, frames)`` of ``sample_frames``.  Without a ``floor``
+    ``min_gap`` is the exact minimum over vertices and quad centres.  With
+    one, a centre is not solved where the gap bound from its corners clears
+    the floor: each corner lies within half the largest u-edge plus half the
+    largest v-edge of the centre along each axis.  ``min_gap`` is then exact
+    whenever it is at or below the floor.  The surface is left unchanged.
+    Raises SurfaceError on a non-finite gap; the charges raise on a gap at
+    or below their floor.
     """
+    g = np.ascontiguousarray(np.moveaxis(surface.grid, -1, 0))  # (3, n_u + 1, n_v + 1)
+    centres = 0.25 * (g[:, :-1, :-1] + g[:, 1:, :-1] + g[:, :-1, 1:] + g[:, 1:, 1:])
+    reach = None
+    if floor is not None:
+        with np.errstate(invalid="ignore"):  # a non-finite grid reaches NaN
+            du, dv = np.abs(g[:, 1:] - g[:, :-1]), np.abs(g[:, :, 1:] - g[:, :, :-1])
+            reach = 0.5 * (du.reshape(3, -1).max(axis=1) + dv.reshape(3, -1).max(axis=1))
     return sample_frames(
-        model, surface.points, surface.quad_centers().reshape(-1, 3),
+        model, surface.points, np.moveaxis(centres, 0, -1),
         lambda gap: f"surface {surface.surface_id} has a non-finite gap {gap}",
+        corners=surface.index_map, reach=reach, floor=floor,
     )

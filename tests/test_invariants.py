@@ -427,9 +427,9 @@ class TestFrameReuse:
         validated = []
         validate = bt.invariants.validate
 
-        def recorded(surface, m):
+        def recorded(surface, *args, **kwargs):
             validated.append(surface.surface_id)
-            return validate(surface, m)
+            return validate(surface, *args, **kwargs)
 
         monkeypatch.setattr(bt.invariants, "validate", recorded)
         del eig_calls[:]

@@ -752,6 +752,60 @@ class TestHarmonicTable:
         assert entries > len(rows)
 
 
+SLOPE_MODELS = {
+    **{f"{name}-{m:g}": (lambda name=name, m=m: bt.builtin(name, m=m))
+       for name, m in BUILTIN_PARAMS},
+    **{f"random-{s}": (lambda s=s: random_two_band(s)) for s in range(8)},
+    "shared-harmonics": shared_harmonics_model,
+    "cubic-box": cubic_box_model,
+}
+
+
+class TestGapSlopes:
+    """The per-word slope constants behind ``gap_drift`` bound the model's
+    own coefficient gradients, and the drift bounds how far a gap moves."""
+
+    @pytest.mark.parametrize("name", sorted(SLOPE_MODELS))
+    def test_slopes_bound_word_gradients(self, name):
+        model = SLOPE_MODELS[name]()
+        kept, slopes, families, _ = model._slopes
+        n = model.band_count
+        k = np.random.default_rng(28).uniform(-1, 1, (200, 3)) * (
+            math.pi if model.domain.is_torus else model.domain.extent)
+        grad = model.hamiltonian_gradient(k)  # (points, axis, n, n)
+        for word, _ in model._words:
+            # d c_w / dk_i = tr(P_w dH/dk_i) / n
+            dc = np.einsum("ij,paji->pa", pauli_word(word), grad).real / n
+            if word not in kept:  # the identity, or a word without slope
+                assert set(word) == {"I"} or not np.any(dc)
+                continue
+            bound = slopes[kept.index(word)]
+            assert np.all(np.abs(dc) <= bound * (1 + 1e-12) + 1e-14)
+        assert sorted(np.concatenate(families).tolist()) == list(range(len(kept)))
+        for family in families:
+            for a, b in itertools.combinations(family, 2):
+                p, q = pauli_word(kept[a]), pauli_word(kept[b])
+                assert np.array_equal(p @ q, -(q @ p))
+
+    @pytest.mark.parametrize("name", sorted(SLOPE_MODELS))
+    def test_drift_bounds_every_gap(self, name):
+        model = SLOPE_MODELS[name]()
+        rng = np.random.default_rng(29)
+        ext = math.pi if model.domain.is_torus else model.domain.extent
+        for reach in ([0.05, 0.05, 0.05], [0.2, 0.0, 0.01], [0.0, 0.0, 0.0]):
+            reach = np.array(reach)
+            k = rng.uniform(-1, 1, (300, 3)) * (ext - reach)
+            step = rng.uniform(-1, 1, (300, 3)) * reach
+            moved = np.abs(np.diff(model.spectrum(k + step) - model.spectrum(k), axis=-1))
+            assert np.all(moved <= model.gap_drift(reach))
+
+    def test_two_band_words_form_one_family(self, weyl2):
+        kept, _, families, _ = weyl2._slopes
+        assert len(families) == 1 and len(kept) == 3
+        for reach in ([np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0]):  # certifies nothing
+            assert not math.isfinite(weyl2.gap_drift(reach))
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("entry", [
         ("cos", (1, 0, 0), math.nan), ("sin", (1, 0, 0), math.inf),

@@ -130,9 +130,9 @@ class TestAssembleLedger:
         sampled = []
         sample = invariants.sample_frames
 
-        def counted_sample(model, points, between=None, describe=None):
+        def counted_sample(model, points, between, *args, **kwargs):
             sampled.append((np.asarray(points), between))
-            return sample(model, points, between, describe)
+            return sample(model, points, between, *args, **kwargs)
 
         monkeypatch.setattr(invariants, "sample_frames", counted_sample)
         ledger = bt.assemble_ledger(model, locus, mesh=(32, 32))

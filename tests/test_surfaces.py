@@ -1,13 +1,16 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import bandtopo as bt
+from bandtopo import invariants
 from bandtopo.exceptions import SurfaceError
-from bandtopo.invariants import frames_at
-from bandtopo.model import reduce_torus
+from bandtopo.invariants import SURFACE_GAP_FLOOR, frames_at, loop_frames
+from bandtopo.model import BlochModel, reduce_torus
+from bandtopo.mvcheck import DEFAULT_SPHERE_RADIUS, DEFAULT_TUBE_RADIUS
 from bandtopo.surfaces import (
     SLICE,
     SPHERE,
@@ -20,6 +23,7 @@ from bandtopo.surfaces import (
 )
 
 from conftest import (
+    random_two_band,
     reference_loop_clearance,
     reference_parallel_frames,
     reference_quads,
@@ -497,3 +501,114 @@ class TestLoopPath:
         r = c.reversed()
         assert np.allclose(r.vertices, c.vertices[::-1])
         assert r.orientation == -c.orientation
+
+
+def count_between_solves(monkeypatch):
+    """Record the number of k-points of every ``direct_gap`` call: the
+    points between the vertices that a certificate left open."""
+    solved = []
+    direct_gap = BlochModel.direct_gap
+
+    def counted(self, k, gap_index=None):
+        solved.append(np.asarray(k).size // 3)
+        return direct_gap(self, k, gap_index)
+
+    monkeypatch.setattr(BlochModel, "direct_gap", counted)
+    return solved
+
+
+class TestGapCertificate:
+    """With a floor, ``validate`` and the ring sampler solve only the points
+    between vertices that the gap-drift bound cannot place above it, and
+    decide against the floor exactly as if every point were solved."""
+
+    @pytest.fixture()
+    def cases(self, weyl2, four_band, four_band_lattice, four_band_lattice_locus,
+              nodal_loop2, nodal_loop2_locus):
+        on_loop = four_band_lattice_locus.loops[0].vertices[5]
+        out = [
+            (weyl2, bt.sphere_around([0, 0, math.pi / 2], 0.3, 16, 12)),
+            (weyl2, bt.sphere_around([0.05, 0, math.pi / 2 + 0.15], 0.16, 24, 16)),
+            (four_band, bt.sphere_around([0, 1, 0.1], 0.2, 24, 16, domain=four_band.domain)),
+            (four_band_lattice, bt.sphere_around(on_loop + [0.05, 0, 0], 0.15, 24, 16)),
+            (weyl2, bt.slice_torus("z", math.pi / 2, 32, 32)),
+            (random_two_band(3), bt.slice_torus("z", 0.0, 32, 24)),
+            (random_two_band(3), bt.slice_torus("x", math.pi, 24, 32)),
+        ]
+        for model, locus in ((four_band_lattice, four_band_lattice_locus),
+                             (nodal_loop2, nodal_loop2_locus)):
+            for loop in locus.loops[:2]:
+                clearance = loop_clearance(loop)
+                out += [(model, bt.tube_around(loop, f * clearance, 32, 16))
+                        for f in (0.02, 0.1, 0.3)]
+        return out
+
+    @staticmethod
+    def floors(exact, gaps, spectrum):
+        ulps = 4 * np.spacing(np.max(np.abs(spectrum)))  # the eigensolver's rounding
+        return [exact - ulps, exact, exact + ulps, *np.quantile(gaps, [0.1, 0.5])]
+
+    def test_decides_as_brute_force(self, cases):
+        for model, s in cases:
+            exact, frames = bt.validate(s, model)
+            sample = np.vstack([s.points, s.quad_centers().reshape(-1, 3)])
+            if model.domain.is_torus:
+                sample = reduce_torus(sample)
+            spectrum = model.spectrum(sample)
+            for floor in self.floors(exact, model.gap_of(spectrum), spectrum):
+                got, got_frames = bt.validate(s, model, floor)
+                assert (got <= floor) == (exact <= floor), (s.surface_id, floor)
+                assert got >= exact
+                if exact <= floor:
+                    assert got == exact, (s.surface_id, floor)
+                assert got_frames.tobytes() == frames.tobytes()
+
+    def test_ring_decides_as_brute_force(self, monkeypatch, nodal_loop2):
+        for centre, radius in (([math.pi / 3, math.pi / 3, 0.1], 0.15), ([0, 0, 2.0], 0.3)):
+            loop = bt.circle_loop(centre, radius, [0, 1, 0], 200)
+            pts = loop.vertices
+            mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
+            spectrum = nodal_loop2.spectrum(reduce_torus(np.vstack([pts, mids])))
+            gaps = nodal_loop2.gap_of(spectrum)
+            exact = float(np.min(gaps))
+            for floor in self.floors(exact, gaps, spectrum):
+                monkeypatch.setattr(invariants, "LOOP_MIN_GAP", floor)
+                if exact <= floor:
+                    text = f"gap collapses to {exact:.3e} along loop {loop.label}"
+                    with pytest.raises(SurfaceError, match=re.escape(text)):
+                        loop_frames(nodal_loop2, loop)
+                else:
+                    assert loop_frames(nodal_loop2, loop).shape[0] == len(pts)
+
+    def test_most_centres_certified(self, monkeypatch, cases):
+        solved = count_between_solves(monkeypatch)
+        for model, s in cases:
+            bt.validate(s, model, SURFACE_GAP_FLOOR)
+        assert 0 < sum(solved) < 0.5 * sum(s.n_u * s.n_v for _, s in cases)
+
+    @pytest.mark.parametrize("where", ["points", "grid"])
+    def test_nan_keeps_its_text(self, weyl2, where):
+        for model in (weyl2, random_two_band(0)):
+            s = bt.sphere_around([0.5, 0.5, 0.5], 0.3, 8, 8)
+            getattr(s, where)[3] = math.nan
+            texts = []
+            for floor in (None, SURFACE_GAP_FLOOR):
+                with pytest.raises(SurfaceError) as err:
+                    bt.validate(s, model, floor)
+                texts.append(str(err.value))
+            assert texts == [f"surface {s.surface_id} has a non-finite gap nan"] * 2
+
+    def test_no_centre_solved_on_ledger_surfaces(self, monkeypatch, four_band_lattice,
+                                                 four_band_lattice_locus, weyl2, weyl2_locus):
+        surfaces = [(four_band_lattice,
+                     bt.tube_around(loop, min(DEFAULT_TUBE_RADIUS, loop_clearance(loop) / 3.5),
+                                    64, 64))
+                    for loop in four_band_lattice_locus.loops
+                    if loop.gap_index == four_band_lattice.occupied_count]
+        surfaces += [(weyl2, bt.sphere_around(p.position, DEFAULT_SPHERE_RADIUS, 64, 64))
+                     for p in weyl2_locus.points]
+        assert len(surfaces) > 2
+        solved = count_between_solves(monkeypatch)
+        for model, s in surfaces:
+            assert bt.validate(s, model, SURFACE_GAP_FLOOR)[0] > SURFACE_GAP_FLOOR
+        assert solved == []
